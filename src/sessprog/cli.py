@@ -2,7 +2,8 @@
 
 Subcommands: check, run, explore, progress, oracle, measure, approx,
 dual.  Exit codes: 0 accept/verified/holds, 1 reject/violated, 2 parse
-error, 3 internal limit hit (state bound or pair budget).
+or usage error, 3 internal limit hit (state bound, pair budget or
+nesting depth).
 """
 
 from __future__ import annotations
@@ -24,19 +25,18 @@ from .semantics import (
     state_to_process,
     step,
 )
-from .sestypes import DepthExceeded, dual_full, dual_strict, dual_strict_path
+from .sestypes import DepthExceeded, dual_full, dual_strict_path
 from .syntax import (
     INF,
     ParseError,
     Process,
     Rec,
-    parse_process,
     parse_program,
     parse_type,
     pretty_proc,
-    pretty_type,
+    subterms,
 )
-from .typecheck import Assignment, check_closed
+from .typecheck import check_closed
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -44,13 +44,15 @@ EXIT_PARSE = 2
 EXIT_LIMIT = 3
 
 
-def _index_arg(s: str):
-    if s == "inf":
-        return INF
+def _natural(s: str) -> int:
     n = int(s)
     if n < 0:
-        raise argparse.ArgumentTypeError("index must be a natural or inf")
+        raise argparse.ArgumentTypeError(f"{s} is not a natural number")
     return n
+
+
+def _index_arg(s: str):
+    return INF if s == "inf" else _natural(s)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -112,12 +114,10 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _finite_view(p: Process, approx: int) -> Process:
-    return approximant(p, approx) if is_user_process(p) else p
-
-
 def _cmd_explore(args) -> int:
-    p = _finite_view(_load(args.file), args.approx)
+    p = _load(args.file)
+    if is_user_process(p):
+        p = approximant(p, args.approx)
     r = reachable(canonicalize(p), max_states=args.max_states)
     nfs = [st for st in r.states.values() if is_normal_form(st)]
     payload = {
@@ -147,33 +147,14 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if v.status == "holds-dynamic-at-bound" else EXIT_REJECT
 
 
-def _collect_recs(p: Process, acc: list) -> None:
-    from .syntax import Idle, Input, New, Output, Par, ProcVar
-
-    if isinstance(p, (Idle, ProcVar)):
-        return
-    if isinstance(p, (Input, Output, New)):
-        _collect_recs(p.body, acc)
-        return
-    if isinstance(p, Par):
-        _collect_recs(p.left, acc)
-        _collect_recs(p.right, acc)
-        return
-    if isinstance(p, Rec):
-        acc.append(p)
-        _collect_recs(p.body, acc)
-        return
-    raise TypeError(p)
-
-
 def _cmd_measure(args) -> int:
     p = _load(args.file)
     try:
         e = emeasure(p)
-        recs: list = []
-        _collect_recs(p, recs)
         table = [
-            {"var": r.var, "index": str(r.index), "v": vcount(r.body, r.var)} for r in recs
+            {"var": r.var, "index": str(r.index), "v": vcount(r.body, r.var)}
+            for r in subterms(p)
+            if isinstance(r, Rec)
         ]
     except InfiniteIndex as ex:
         print(f"error: measure undefined, infinite index at {ex}", file=sys.stderr)
@@ -228,16 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("explore", help="reachable-set statistics")
     common(sp)
-    sp.add_argument("--approx", type=int, default=2)
+    sp.add_argument("--approx", type=_natural, default=2)
     sp.add_argument("--max-states", type=int, default=100_000)
 
     sp = sub.add_parser("progress", help="static progress verification")
     common(sp)
-    sp.add_argument("--judgment-index", type=_index_arg, default=0)
 
     sp = sub.add_parser("oracle", help="dynamic progress oracle on a finite approximant")
     common(sp)
-    sp.add_argument("--approx", type=int, default=2)
+    sp.add_argument("--approx", type=_natural, default=2)
     sp.add_argument("--max-states", type=int, default=100_000)
 
     sp = sub.add_parser("measure", help="termination measure E and V table")
@@ -245,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("approx", help="print the finite approximant")
     common(sp)
-    sp.add_argument("index", type=int)
+    sp.add_argument("index", type=_natural)
 
     sp = sub.add_parser("dual", help="duality verdicts for two types")
     sp.add_argument("type1")
@@ -279,6 +259,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (Truncated, DepthExceeded) as e:
         print(f"limit: {e}", file=sys.stderr)
+        return EXIT_LIMIT
+    except RecursionError:
+        print("limit: term nested too deeply for the recursion limit", file=sys.stderr)
         return EXIT_LIMIT
     except (NotClosed, NotUserProcess) as e:
         print(f"error: {e}", file=sys.stderr)

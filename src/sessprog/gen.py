@@ -8,8 +8,10 @@ All generators take a ``random.Random`` so corpora are reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from dataclasses import replace
 
 from .syntax import (
     INF,
@@ -30,6 +32,7 @@ from .syntax import (
     TRec,
     TypeVar,
     Var,
+    map_proc,
 )
 
 _uid = itertools.count()
@@ -212,21 +215,14 @@ def gen_well_typed(rng: random.Random, max_index: int = 3, cells: int | None = N
     of independent well-typed cells."""
     n = cells if cells is not None else rng.randint(1, 3)
     parts = [rng.choice(_CELLS)(rng, rng.randint(0, max_index)) for _ in range(n)]
-    p = parts[0]
-    for q in parts[1:]:
-        p = Par(p, q)
-    return p
+    return functools.reduce(Par, parts)
 
 
 def gen_well_typed_user(rng: random.Random, cells: int | None = None) -> Process:
     """A closed user process (all indices infinite) that passes the
     static progress verifier."""
     n = cells if cells is not None else rng.randint(1, 3)
-    parts = [rng.choice(_CELLS)(rng, INF) for _ in range(n)]
-    p = parts[0]
-    for q in parts[1:]:
-        p = Par(p, q)
-    return p
+    return functools.reduce(Par, [rng.choice(_CELLS)(rng, INF) for _ in range(n)])
 
 
 def gen_user(rng: random.Random, depth: int = 6) -> Process:
@@ -234,20 +230,10 @@ def gen_user(rng: random.Random, depth: int = 6) -> Process:
     indices are infinite."""
     p = gen_finite(rng, depth=depth)
 
-    def to_user(q):
-        from dataclasses import replace
+    def to_user(q, env):
+        return (replace(q, index=INF) if isinstance(q, Rec) else q), env
 
-        if isinstance(q, (Idle, ProcVar)):
-            return q
-        if isinstance(q, (Input, Output, New)):
-            return replace(q, body=to_user(q.body))
-        if isinstance(q, Par):
-            return replace(q, left=to_user(q.left), right=to_user(q.right))
-        if isinstance(q, Rec):
-            return replace(q, index=INF, body=to_user(q.body))
-        raise TypeError(q)
-
-    return to_user(p)
+    return map_proc(to_user, p)
 
 
 def gen_subst_pair(rng: random.Random, depth: int = 4):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import CanonState, RedexLabel, canonicalize, state_to_process, step
+from .semantics import CanonState, RedexLabel, canonicalize, reachable, state_to_process
 from .syntax import (
     INF,
     Idle,
@@ -96,8 +96,6 @@ class DecreaseFailure:
 def check_decrease(p: Process, max_states: int = 100_000):
     """Walk the whole reachable graph and verify the exact measure drop on
     every edge.  Returns (ok, failures, truncated)."""
-    from .semantics import reachable
-
     s0 = canonicalize(p)
     r = reachable(s0, max_states=max_states)
     failures = []
@@ -118,8 +116,6 @@ def check_decrease(p: Process, max_states: int = 100_000):
 def longest_path(p: Process, max_states: int = 100_000) -> int:
     """Length of the longest reduction sequence; finite because the graph
     of a finite-index process is acyclic (the measure strictly drops)."""
-    from .semantics import reachable
-
     s0 = canonicalize(p)
     r = reachable(s0, max_states=max_states)
     if r.truncated:

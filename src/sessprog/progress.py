@@ -25,8 +25,8 @@ from .semantics import (
     state_to_process,
     trace_to,
 )
-from .syntax import Endpoint, Input, Output, Process, co, name_str, pretty_proc
-from .typecheck import Assignment, check_closed
+from .syntax import Endpoint, Input, Output, Process, Rec, co, free_names, name_str, pretty_proc
+from .typecheck import check_closed
 
 
 class NotClosed(Exception):
@@ -53,14 +53,16 @@ class ProgressVerdict:
         }
 
 
+def _require_closed(p: Process) -> None:
+    if free_names(p):
+        raise NotClosed(", ".join(sorted(name_str(n) for n in free_names(p))))
+
+
 def verify_static(p: Process) -> ProgressVerdict:
     """Sound but incomplete: type-check the 0-approximant at judgment
     index 0 (strict duality at restrictions).  Acceptance proves
     progress; rejection proves nothing."""
-    from .syntax import free_names
-
-    if free_names(p):
-        raise NotClosed(", ".join(sorted(name_str(n) for n in free_names(p))))
+    _require_closed(p)
     q = approximant(p, 0)
     verdict = check_closed(q, 0)
     if verdict.ok:
@@ -108,10 +110,7 @@ def oracle_dynamic(p: Process, iota: int = 2, max_states: int = 100_000) -> Prog
     """Decide the progress property exhaustively on the finite
     approximant at index ``iota`` (the process itself if its indices are
     already finite)."""
-    from .syntax import free_names
-
-    if free_names(p):
-        raise NotClosed(", ".join(sorted(name_str(n) for n in free_names(p))))
+    _require_closed(p)
     q = approximant(p, iota) if is_user_process(p) else p
     s0 = canonicalize(q)
     r = reachable(s0, max_states=max_states)
@@ -145,6 +144,4 @@ def oracle_dynamic(p: Process, iota: int = 2, max_states: int = 100_000) -> Prog
 def normal_form_shape(s: CanonState) -> bool:
     """Shape of well-typed normal forms: nothing but threads guarded by
     exhausted recursions."""
-    from .syntax import Rec
-
     return all(isinstance(t, Rec) and t.index == 0 for t in s.threads)

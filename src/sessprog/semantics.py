@@ -11,6 +11,7 @@ structural congruence on the hoisted fragment.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 from .sestypes import type_key
@@ -27,18 +28,24 @@ from .syntax import (
     Rec,
     SessionType,
     TRec,
-    TIn,
-    TOut,
-    TypeVar,
     Var,
-    Base,
-    End,
     all_idents,
+    children,
     co,
-    free_names,
+    freshen,
+    map_proc,
+    map_type,
+    map_values,
+    name_str,
     pretty_proc,
+    rebind,
+    rename_value,
     subst_name,
     subst_proc,
+    subterms,
+    type_children,
+    type_with_children,
+    with_children,
 )
 
 
@@ -55,8 +62,6 @@ class RedexLabel:
 
     def describe(self) -> str:
         if self.kind == "comm":
-            from .syntax import name_str
-
             return f"comm {self.channel} ! {name_str(self.payload)}"
         return f"rec @{self.positions[0]}"
 
@@ -77,116 +82,112 @@ class CanonState:
         return f"CanonState({pretty_proc(state_to_process(self))!r})"
 
 
-def _thread_ser(p: Process, chan_map=None, env=None, counter=None) -> str:
-    """Serialization of a sequential term with binders numbered in
-    traversal order and channels mapped through ``chan_map``."""
-    chan_map = chan_map or {}
-    env = env if env is not None else {}
-    counter = counter if counter is not None else [0]
+def _serialize(p: Process) -> list:
+    """The serialization of a sequential term as a list of pieces, with
+    binders numbered in traversal order.  Each endpoint is a slot
+    ``(channel, polarity, text, free)`` whose text is its binder's token
+    or ``'channel``; ``_make_state`` gives restricted channels numbers."""
+    out: list = []
+    counter = itertools.count()
 
-    def name(v):
-        if isinstance(v, Var):
-            return env.get(("v", v.ident), f"'{v.ident}")
+    def name(v, env):
         if isinstance(v, Endpoint):
-            return chan_map.get(v.channel, env.get(("c", v.channel), f"'{v.channel}")) + v.polarity
-        return str(v)
+            tok = env.get(("c", v.channel))
+            text = (f"'{v.channel}" if tok is None else tok) + v.polarity
+            out.append((v.channel, v.polarity, text, tok is None))
+        elif isinstance(v, Var):
+            out.append(env.get(("v", v.ident), f"'{v.ident}"))
+        else:
+            out.append(str(v))
 
-    def bind(kind, ident):
-        tok = f"%{counter[0]}"
-        counter[0] += 1
-        return {**env, (kind, ident): tok}, tok
+    def go(q, env):
+        if isinstance(q, Idle):
+            out.append("0")
+        elif isinstance(q, ProcVar):
+            out.append(env.get(("p", q.ident), f"'{q.ident}"))
+        elif isinstance(q, Par):
+            out.append("(")
+            go(q.left, env)
+            out.append("|")
+            go(q.right, env)
+            out.append(")")
+        elif isinstance(q, Output):
+            name(q.subject, env)
+            out.append("!")
+            name(q.payload, env)
+            out.append(".")
+            go(q.body, env)
+        else:  # a binder
+            tok = f"%{next(counter)}"
+            if isinstance(q, Input):
+                name(q.subject, env)
+                bound, text = ("v", q.binder), f"?({tok})."
+            elif isinstance(q, New):
+                ann = "" if q.pos_type is None else ":" + type_key(q.pos_type)
+                if ann and q.neg_type is not None:
+                    ann += "~" + type_key(q.neg_type)
+                bound, text = ("c", q.channel), f"new {tok}{ann}."
+            else:
+                bound, text = ("p", q.var), f"rec[{q.index}]{tok}."
+            out.append(text)
+            go(q.body, {**env, bound: tok})
 
-    if isinstance(p, Idle):
-        return "0"
-    if isinstance(p, ProcVar):
-        return env.get(("p", p.ident), f"'{p.ident}")
-    if isinstance(p, Input):
-        env2, tok = bind("v", p.binder)
-        return f"{name(p.subject)}?({tok}).{_thread_ser(p.body, chan_map, env2, counter)}"
-    if isinstance(p, Output):
-        return f"{name(p.subject)}!{name(p.payload)}.{_thread_ser(p.body, chan_map, env, counter)}"
-    if isinstance(p, Par):
-        return f"({_thread_ser(p.left, chan_map, env, counter)}|{_thread_ser(p.right, chan_map, env, counter)})"
-    if isinstance(p, New):
-        env2, tok = bind("c", p.channel)
-        ann = ""
-        if p.pos_type is not None:
-            ann = ":" + type_key(p.pos_type)
-            if p.neg_type is not None:
-                ann += "~" + type_key(p.neg_type)
-        return f"new {tok}{ann}.{_thread_ser(p.body, chan_map, env2, counter)}"
-    if isinstance(p, Rec):
-        env2, tok = bind("p", p.var)
-        return f"rec[{p.index}]{tok}.{_thread_ser(p.body, chan_map, env2, counter)}"
-    raise TypeError(p)
-
-
-def _channels_in_order(p: Process, restricted: set, acc: list):
-    """Restricted channels in AST preorder of their endpoint occurrences."""
-    if isinstance(p, (Idle, ProcVar)):
-        return
-    if isinstance(p, (Input, Output)):
-        for v in ([p.subject, p.payload] if isinstance(p, Output) else [p.subject]):
-            if isinstance(v, Endpoint) and v.channel in restricted and v.channel not in acc:
-                acc.append(v.channel)
-        _channels_in_order(p.body, restricted, acc)
-        return
-    if isinstance(p, Par):
-        _channels_in_order(p.left, restricted, acc)
-        _channels_in_order(p.right, restricted, acc)
-        return
-    if isinstance(p, (New, Rec)):
-        _channels_in_order(p.body, restricted, acc)
-        return
-    raise TypeError(p)
+    go(p, {})
+    return out
 
 
 def _make_state(chan_anns: dict, threads: list) -> CanonState:
-    threads = [t for t in threads if not isinstance(t, Idle)]
-    used = set()
-    for t in threads:
-        for n in free_names(t):
-            if isinstance(n, Endpoint):
-                used.add(n.channel)
+    sers = [(t, _serialize(t)) for t in threads if not isinstance(t, Idle)]
+    used = {x[0] for _t, pieces in sers for x in pieces if type(x) is tuple and x[3]}
     chans = {c: chan_anns[c] for c in chan_anns if c in used}
-    # order threads by their channel-agnostic serialization, then derive a
-    # canonical channel numbering from first occurrences in that order
-    threads.sort(key=lambda t: _thread_ser(t))
-    occ: list = []
-    for t in threads:
-        _channels_in_order(t, set(chans), occ)
-    chan_map = {c: f"#{i}" for i, c in enumerate(occ)}
-    keys = sorted(_thread_ser(t, chan_map) for t in threads)
-    key = f"nu[{len(chans)}] " + " || ".join(keys)
+    # order threads by their channel-agnostic serialization, then number
+    # the restricted channels by first occurrence in that order
+    sers.sort(key=lambda tp: "".join([x if type(x) is str else x[2] for x in tp[1]]))
+    chan_map: dict = {}
+    for _t, pieces in sers:
+        for x in pieces:
+            if type(x) is tuple and x[0] in chans and x[0] not in chan_map:
+                chan_map[x[0]] = f"#{len(chan_map)}"
+    keys = sorted(
+        "".join([
+            x if type(x) is str else chan_map[x[0]] + x[1] if x[0] in chan_map else x[2]
+            for x in pieces
+        ])
+        for _t, pieces in sers
+    )
     return CanonState(
-        key=key,
+        key=f"nu[{len(chans)}] " + " || ".join(keys),
         channels=tuple(sorted(chans)),
-        threads=tuple(threads),
+        threads=tuple(t for t, _pieces in sers),
         anns=tuple((c, *chans[c]) for c in sorted(chans)),
     )
 
 
-def canonicalize(p: Process, outer_anns: dict | None = None) -> CanonState:
-    """Flatten parallel composition, drop idle components, hoist all
-    unguarded restrictions and drop those whose endpoints are unused.
-    Idempotent and invariant under the structural congruence laws."""
-    chan_anns = dict(outer_anns or {})
+def _merge(anns: dict, procs: list) -> CanonState:
+    """Flatten parallel composition, drop idle components and hoist the
+    unguarded restrictions of ``procs`` next to the channels in ``anns``."""
+    chan_anns = dict(anns)
     threads: list = []
-
-    def walk(q):
+    stack = procs[::-1]
+    while stack:
+        q = stack.pop()
         if isinstance(q, Par):
-            walk(q.left)
-            walk(q.right)
+            stack += (q.right, q.left)
         elif isinstance(q, New):
             chan_anns[q.channel] = (q.pos_type, q.neg_type)
-            walk(q.body)
-        elif isinstance(q, Idle):
-            pass
-        else:
+            stack.append(q.body)
+        elif not isinstance(q, Idle):
             threads.append(q)
-
-    walk(p)
     return _make_state(chan_anns, threads)
+
+
+def canonicalize(p: Process) -> CanonState:
+    """Freshen binders, flatten parallel composition, drop idle
+    components, hoist all unguarded restrictions and drop those whose
+    endpoints are unused.  Idempotent and invariant under the structural
+    congruence laws.  Freshening first keeps a restriction from being
+    merged with a same-named one or capturing a received endpoint."""
+    return _merge({}, [freshen(p)])
 
 
 def state_to_process(s: CanonState) -> Process:
@@ -203,15 +204,7 @@ def state_to_process(s: CanonState) -> Process:
 
 
 def is_user_process(p: Process) -> bool:
-    if isinstance(p, (Idle, ProcVar)):
-        return True
-    if isinstance(p, (Input, Output, New)):
-        return is_user_process(p.body)
-    if isinstance(p, Par):
-        return is_user_process(p.left) and is_user_process(p.right)
-    if isinstance(p, Rec):
-        return p.index == INF and is_user_process(p.body)
-    raise TypeError(p)
+    return all(q.index == INF for q in subterms(p) if isinstance(q, Rec))
 
 
 def approximant(p: Process, iota) -> Process:
@@ -219,92 +212,57 @@ def approximant(p: Process, iota) -> Process:
     annotations) with ``iota``; requires a user process."""
     if not is_user_process(p):
         raise NotUserProcess("finite recursion index in a user process")
-    return _approx(p, iota)
+
+    def go(q, env):
+        if isinstance(q, Rec):
+            q = replace(q, index=iota)
+        elif isinstance(q, New):
+            pos_t, neg_t = approximant_type(q.pos_type, iota), approximant_type(q.neg_type, iota)
+            q = replace(q, pos_type=pos_t, neg_type=neg_t)
+        return q, env
+
+    return map_proc(go, p)
 
 
-def _approx(p: Process, iota) -> Process:
-    if isinstance(p, (Idle, ProcVar)):
-        return p
-    if isinstance(p, (Input, Output)):
-        return replace(p, body=_approx(p.body, iota))
-    if isinstance(p, Par):
-        return replace(p, left=_approx(p.left, iota), right=_approx(p.right, iota))
-    if isinstance(p, New):
-        return replace(
-            p,
-            pos_type=None if p.pos_type is None else approximant_type(p.pos_type, iota),
-            neg_type=None if p.neg_type is None else approximant_type(p.neg_type, iota),
-            body=_approx(p.body, iota),
-        )
-    if isinstance(p, Rec):
-        idx = iota if p.index == INF else p.index
-        return replace(p, index=idx, body=_approx(p.body, iota))
-    raise TypeError(p)
-
-
-def approximant_type(t: SessionType, iota) -> SessionType:
-    if isinstance(t, (End, Base, TypeVar)):
-        return t
-    if isinstance(t, (TIn, TOut)):
-        return replace(
-            t, payload=approximant_type(t.payload, iota), cont=approximant_type(t.cont, iota)
-        )
-    if isinstance(t, TRec):
-        idx = iota if t.index == INF else t.index
-        return replace(t, index=idx, body=approximant_type(t.body, iota))
-    raise TypeError(t)
+def approximant_type(t: SessionType | None, iota) -> SessionType | None:
+    """``t`` with every infinite recursion index replaced by ``iota``; a
+    missing annotation (None) has no subterms and stays None."""
+    if isinstance(t, TRec) and t.index == INF:
+        t = TRec(iota, t.var, t.body)
+    return map_type(approximant_type, t, iota)
 
 
 def approx_leq(p: Process, q: Process) -> bool:
     """The approximation preorder: structural identity except recursion
     indices, pointwise smaller on the left."""
+    # node kinds fix the arity, so matching kinds in preorder mean equal shapes
+    return all(map(_node_leq, subterms(p), subterms(q)))
+
+
+def _node_leq(p: Process, q: Process) -> bool:
     if type(p) is not type(q):
         return False
-    if isinstance(p, Idle):
-        return True
-    if isinstance(p, ProcVar):
-        return p.ident == q.ident
-    if isinstance(p, Input):
-        return p.subject == q.subject and p.binder == q.binder and approx_leq(p.body, q.body)
-    if isinstance(p, Output):
-        return (
-            p.subject == q.subject and p.payload == q.payload and approx_leq(p.body, q.body)
-        )
-    if isinstance(p, Par):
-        return approx_leq(p.left, q.left) and approx_leq(p.right, q.right)
+    if isinstance(p, Rec):
+        return p.index <= q.index and p.var == q.var
     if isinstance(p, New):
         return (
             p.channel == q.channel
-            and _ann_leq(p.pos_type, q.pos_type)
-            and _ann_leq(p.neg_type, q.neg_type)
-            and approx_leq(p.body, q.body)
+            and approx_leq_type(p.pos_type, q.pos_type)
+            and approx_leq_type(p.neg_type, q.neg_type)
         )
-    if isinstance(p, Rec):
-        return p.index <= q.index and p.var == q.var and approx_leq(p.body, q.body)
-    raise TypeError(p)
+    return with_children(p, children(q)) == q  # every other field equal
 
 
-def _ann_leq(t, s) -> bool:
-    if t is None or s is None:
-        return t is s
-    return approx_leq_type(t, s)
-
-
-def approx_leq_type(t: SessionType, s: SessionType) -> bool:
+def approx_leq_type(t: SessionType | None, s: SessionType | None) -> bool:
+    """The approximation preorder on types; a missing annotation (None)
+    is related to None only."""
     if type(t) is not type(s):
         return False
-    if isinstance(t, (End, Base, TypeVar)):
-        return t == s
-    if isinstance(t, (TIn, TOut)):
-        return (
-            t.obl == s.obl
-            and t.cap == s.cap
-            and approx_leq_type(t.payload, s.payload)
-            and approx_leq_type(t.cont, s.cont)
-        )
     if isinstance(t, TRec):
-        return t.index <= s.index and t.var == s.var and approx_leq_type(t.body, s.body)
-    raise TypeError(t)
+        head = t.index <= s.index and t.var == s.var
+    else:
+        head = type_with_children(t, type_children(s)) == s
+    return head and all(map(approx_leq_type, type_children(t), type_children(s)))
 
 
 def _rename_clashing_news(p: Process, seen: set) -> Process:
@@ -312,41 +270,14 @@ def _rename_clashing_news(p: Process, seen: set) -> Process:
     because unfolding duplicates restriction binders and hoisting requires
     globally unique channels.  Other binders are left alone."""
 
-    def go(q, cenv):
-        if isinstance(q, (Idle, ProcVar)):
-            return q
-        if isinstance(q, Input):
-            return replace(q, subject=ren(q.subject, cenv), body=go(q.body, cenv))
-        if isinstance(q, Output):
-            return replace(
-                q, subject=ren(q.subject, cenv), payload=ren(q.payload, cenv), body=go(q.body, cenv)
-            )
-        if isinstance(q, Par):
-            return replace(q, left=go(q.left, cenv), right=go(q.right, cenv))
-        if isinstance(q, Rec):
-            return replace(q, body=go(q.body, cenv))
+    def go(q, cenv):  # cenv: the channels renamed so far
+        if cenv:
+            q = map_values(rename_value, q, {}, cenv)
         if isinstance(q, New):
-            name = q.channel
-            if name in seen:
-                k = 0
-                while True:
-                    k += 1
-                    cand = f"{q.channel}_{k}"
-                    if cand not in seen:
-                        name = cand
-                        break
-                seen.add(name)
-                return replace(q, channel=name, body=go(q.body, {**cenv, q.channel: name}))
-            seen.add(name)
-            return replace(q, body=go(q.body, cenv))
-        raise TypeError(q)
+            q, cenv = rebind(q, "channel", cenv, seen)
+        return q, cenv
 
-    def ren(v, cenv):
-        if isinstance(v, Endpoint) and v.channel in cenv:
-            return Endpoint(cenv[v.channel], v.polarity)
-        return v
-
-    return go(p, {})
+    return map_proc(go, p, {})
 
 
 def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
@@ -391,27 +322,6 @@ def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
 
     out.sort(key=lambda lr: (lr[0].kind, lr[0].positions))
     return out
-
-
-def _merge(anns: dict, threads: list) -> CanonState:
-    chan_anns = dict(anns)
-    flat: list = []
-
-    def walk(q):
-        if isinstance(q, Par):
-            walk(q.left)
-            walk(q.right)
-        elif isinstance(q, New):
-            chan_anns[q.channel] = (q.pos_type, q.neg_type)
-            walk(q.body)
-        elif isinstance(q, Idle):
-            pass
-        else:
-            flat.append(q)
-
-    for t in threads:
-        walk(t)
-    return _make_state(chan_anns, flat)
 
 
 def is_normal_form(s: CanonState) -> bool:

@@ -188,6 +188,111 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
+# Traversal kernel: structural maps, folds and binder-aware renames are
+# written on these.  The hot folds free_names, free_proc_vars and
+# all_idents keep their own dispatch, which is faster per call.
+
+
+def children(p: Process) -> tuple:
+    """The immediate subprocesses of ``p``, left to right."""
+    if isinstance(p, Par):
+        return (p.left, p.right)
+    if isinstance(p, (Idle, ProcVar)):
+        return ()
+    return (p.body,)
+
+
+def with_children(p: Process, kids) -> Process:
+    """``p`` with its immediate subprocesses replaced by ``kids``; ``p``
+    itself when every child is unchanged."""
+    if isinstance(p, Par):
+        left, right = kids
+        return p if left is p.left and right is p.right else Par(left, right, p.pos)
+    if isinstance(p, (Idle, ProcVar)):
+        return p
+    (body,) = kids
+    return p if body is p.body else replace(p, body=body)
+
+
+def subterms(p: Process):
+    """``p`` and all its subprocesses in preorder, left before right;
+    iterative, so arbitrarily deep terms do not hit the recursion limit."""
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        yield q
+        stack.extend(reversed(children(q)))
+
+
+_REBUILD = object()
+
+
+def map_proc(f, p: Process, env=()) -> Process:
+    """Rewrite ``p`` top-down without recursion.  ``f(q, env)`` returns
+    ``(q2, env2)``: ``q2`` takes the place of ``q``, and its children are
+    rewritten in turn under ``env2``, or left as they are when ``env2``
+    is None.  Nodes are visited in preorder, left before right, and a
+    node whose children did not change is kept as it is."""
+    out: list = []
+    todo = [(p, env)]
+    while todo:
+        q, e = todo.pop()
+        if e is _REBUILD:
+            k = -2 if isinstance(q, Par) else -1
+            out[k:] = [with_children(q, out[k:])]
+        else:
+            q, e = f(q, e)
+            if e is None or isinstance(q, (Idle, ProcVar)):
+                out.append(q)
+            elif isinstance(q, Par):
+                todo += ((q, _REBUILD), (q.right, e), (q.left, e))
+            else:
+                todo += ((q, _REBUILD), (q.body, e))
+    return out[0]
+
+
+def map_values(f, p: Process, *args) -> Process:
+    """``p`` with the subject and payload ``v`` of a prefix replaced by
+    ``f(v, *args)``."""
+    if isinstance(p, Input):
+        s = f(p.subject, *args)
+        return p if s is p.subject else replace(p, subject=s)
+    if isinstance(p, Output):
+        s, v = f(p.subject, *args), f(p.payload, *args)
+        return p if s is p.subject and v is p.payload else replace(p, subject=s, payload=v)
+    return p
+
+
+def type_children(t: SessionType) -> tuple:
+    """The immediate subterms of a session type: payload and continuation
+    of a prefix, the body of a recursion."""
+    if isinstance(t, (TIn, TOut)):
+        return (t.payload, t.cont)
+    if isinstance(t, TRec):
+        return (t.body,)
+    return ()
+
+
+def type_with_children(t: SessionType, kids) -> SessionType:
+    """``t`` with its immediate subterms replaced; ``t`` itself when every
+    child is unchanged."""
+    if isinstance(t, (TIn, TOut)):
+        payload, cont = kids
+        if payload is t.payload and cont is t.cont:
+            return t
+        return type(t)(t.obl, t.cap, payload, cont)
+    if isinstance(t, TRec):
+        (body,) = kids
+        return t if body is t.body else TRec(t.index, t.var, body)
+    return t
+
+
+def map_type(f, t: SessionType, *args) -> SessionType:
+    """``t`` with each immediate subterm ``c`` replaced by ``f(c, *args)``."""
+    return type_with_children(t, [f(c, *args) for c in type_children(t)])
+
+
+# ---------------------------------------------------------------------------
 # Free names / variables
 
 
@@ -234,19 +339,18 @@ def free_proc_vars(p: Process) -> frozenset:
 
 
 def free_type_vars(t: SessionType) -> frozenset:
-    if isinstance(t, (End, Base)):
-        return frozenset()
     if isinstance(t, TypeVar):
         return frozenset([t.ident])
-    if isinstance(t, (TIn, TOut)):
-        return free_type_vars(t.payload) | free_type_vars(t.cont)
-    if isinstance(t, TRec):
-        return free_type_vars(t.body) - {t.var}
-    raise TypeError(t)
+    fv = frozenset().union(*map(free_type_vars, type_children(t)))
+    return fv - {t.var} if isinstance(t, TRec) else fv
 
 
 # ---------------------------------------------------------------------------
 # Substitutions
+
+
+class _Undefined(Exception):
+    """A substitution would capture a free name; the result is None."""
 
 
 def subst_name(p: Process, target: str, repl) -> Process | None:
@@ -257,47 +361,25 @@ def subst_name(p: Process, target: str, repl) -> Process | None:
     captured by a ``new`` binder; callers are expected to alpha-rename
     first.  Undefined is a value, not a fault.
     """
+    var = Var(target)
 
-    def sub_val(v):
-        if isinstance(v, Var) and v.ident == target:
-            return repl
-        return v
+    def sub(v):
+        return repl if v == var else v
 
-    if isinstance(p, (Idle, ProcVar)):
-        return p
-    if isinstance(p, Input):
-        if p.binder == target:
-            return p
-        body = subst_name(p.body, target, repl)
-        if body is None:
-            return None
-        return replace(p, subject=sub_val(p.subject), body=body)
-    if isinstance(p, Output):
-        body = subst_name(p.body, target, repl)
-        if body is None:
-            return None
-        return replace(p, subject=sub_val(p.subject), payload=sub_val(p.payload), body=body)
-    if isinstance(p, Par):
-        left = subst_name(p.left, target, repl)
-        right = subst_name(p.right, target, repl)
-        if left is None or right is None:
-            return None
-        return replace(p, left=left, right=right)
-    if isinstance(p, New):
-        if Var(target) not in free_names(p.body):
-            return p
-        if isinstance(repl, Endpoint) and repl.channel == p.channel:
-            return None  # (new c (c+!x.0))[c-/x] is undefined
-        body = subst_name(p.body, target, repl)
-        if body is None:
-            return None
-        return replace(p, body=body)
-    if isinstance(p, Rec):
-        body = subst_name(p.body, target, repl)
-        if body is None:
-            return None
-        return replace(p, body=body)
-    raise TypeError(p)
+    def go(q, capturing):  # capturing: an enclosing ``new`` binds repl's channel
+        q2 = map_values(sub, q)
+        if q2 is not q and capturing:
+            raise _Undefined  # (new c (c+!x.0))[c-/x] is undefined
+        if isinstance(q, Input) and q.binder == target:
+            return q2, None  # the subject is free, the body is in the binder's scope
+        if isinstance(q, New) and isinstance(repl, Endpoint) and repl.channel == q.channel:
+            capturing = True
+        return q2, capturing
+
+    try:
+        return map_proc(go, p, False)
+    except _Undefined:
+        return None
 
 
 def subst_proc(p: Process, target: str, q: Process) -> Process | None:
@@ -307,59 +389,36 @@ def subst_proc(p: Process, target: str, q: Process) -> Process | None:
     None (Undefined) when a free endpoint, free variable or free process
     variable of ``q`` would be captured by a binder in ``p``.
     """
-    if isinstance(p, Idle):
-        return p
-    if isinstance(p, ProcVar):
-        return q if p.ident == target else p
-    if isinstance(p, (Input, Output)):
-        if target not in free_proc_vars(p.body):
-            return p
-        if isinstance(p, Input) and Var(p.binder) in free_names(q):
-            return None
-        body = subst_proc(p.body, target, q)
-        if body is None:
-            return None
-        return replace(p, body=body)
-    if isinstance(p, Par):
-        left = subst_proc(p.left, target, q)
-        right = subst_proc(p.right, target, q)
-        if left is None or right is None:
-            return None
-        return replace(p, left=left, right=right)
-    if isinstance(p, New):
-        if target not in free_proc_vars(p.body):
-            return p
-        if any(isinstance(n, Endpoint) and n.channel == p.channel for n in free_names(q)):
-            return None  # (new a X)[a+!b+.0/X] is undefined
-        body = subst_proc(p.body, target, q)
-        if body is None:
-            return None
-        return replace(p, body=body)
-    if isinstance(p, Rec):
-        if p.var == target or target not in free_proc_vars(p.body):
-            return p
-        if p.var in free_proc_vars(q):
-            return None
-        body = subst_proc(p.body, target, q)
-        if body is None:
-            return None
-        return replace(p, body=body)
-    raise TypeError(p)
+    names, pvars = free_names(q), free_proc_vars(q)
+
+    def go(r, capturing):  # capturing: some enclosing binder would capture q
+        if isinstance(r, ProcVar):
+            if r.ident != target:
+                return r, None
+            if capturing:
+                raise _Undefined  # (new a X)[a+!b+.0/X] is undefined
+            return q, None
+        if isinstance(r, Rec):
+            return r, None if r.var == target else capturing or r.var in pvars
+        if isinstance(r, Input):
+            return r, capturing or Var(r.binder) in names
+        if isinstance(r, New):
+            return r, capturing or any(
+                isinstance(n, Endpoint) and n.channel == r.channel for n in names
+            )
+        return r, capturing
+
+    try:
+        return map_proc(go, p, False)
+    except _Undefined:
+        return None
 
 
 def subst_type_var(t: SessionType, target: str, s: SessionType) -> SessionType:
     """Capture-avoiding substitution of type ``s`` for free occurrences of
     the type variable ``target``; shadowed binders are renamed on demand."""
-    if isinstance(t, (End, Base)):
-        return t
     if isinstance(t, TypeVar):
         return s if t.ident == target else t
-    if isinstance(t, (TIn, TOut)):
-        return replace(
-            t,
-            payload=subst_type_var(t.payload, target, s),
-            cont=subst_type_var(t.cont, target, s),
-        )
     if isinstance(t, TRec):
         if t.var == target:
             return t
@@ -372,8 +431,7 @@ def subst_type_var(t: SessionType, target: str, s: SessionType) -> SessionType:
                 fresh = f"{t.var}{k}"
             body = subst_type_var(t.body, t.var, TypeVar(fresh))
             return TRec(t.index, fresh, subst_type_var(body, target, s))
-        return replace(t, body=subst_type_var(t.body, target, s))
-    raise TypeError(t)
+    return map_type(subst_type_var, t, target, s)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +481,31 @@ def all_idents(p: Process) -> set:
     return acc
 
 
+def rebind(q: Process, binder: str, env: dict, taken: set):
+    """Rename the ``binder`` field of ``q`` to the first of ``name``,
+    ``name_1``, ``name_2``, ... not in ``taken``, which gains it.  Returns
+    ``q`` and ``env``, both extended only when the name changed."""
+    old = getattr(q, binder)
+    new, k = old, 0
+    while new in taken:
+        k += 1
+        new = f"{old}_{k}"
+    taken.add(new)
+    if new == old:
+        return q, env
+    return replace(q, **{binder: new}), {**env, old: new}
+
+
+def rename_value(v, venv: dict, cenv: dict):
+    """A variable renamed through ``venv``, an endpoint's channel through
+    ``cenv``; literals and unmapped names unchanged."""
+    if isinstance(v, Var) and v.ident in venv:
+        return Var(venv[v.ident])
+    if isinstance(v, Endpoint) and v.channel in cenv:
+        return Endpoint(cenv[v.channel], v.polarity)
+    return v
+
+
 def freshen(p: Process, reserved=()) -> Process:
     """Rename binders so every binder in the result is unique and distinct
     from every free name.  Binders whose names are not reused keep them,
@@ -432,56 +515,21 @@ def freshen(p: Process, reserved=()) -> Process:
         _ident_of(n, seen)
     seen |= free_proc_vars(p)
 
-    def pick(base):
-        if base not in seen:
-            seen.add(base)
-            return base
-        k = 0
-        while True:
-            k += 1
-            cand = f"{base}_{k}"
-            if cand not in seen:
-                seen.add(cand)
-                return cand
-
-    def sub_val(v, venv, cenv):
-        if isinstance(v, Var):
-            return Var(venv.get(v.ident, v.ident))
-        if isinstance(v, Endpoint):
-            return Endpoint(cenv.get(v.channel, v.channel), v.polarity)
-        return v
-
-    def go(q, venv, cenv, penv):
-        if isinstance(q, Idle):
-            return q
+    def go(q, env):  # env: the binders renamed so far, per kind
+        venv, cenv, penv = env
         if isinstance(q, ProcVar):
-            return replace(q, ident=penv.get(q.ident, q.ident))
+            return (replace(q, ident=penv[q.ident]) if q.ident in penv else q), None
+        if venv or cenv:
+            q = map_values(rename_value, q, venv, cenv)
         if isinstance(q, Input):
-            x = pick(q.binder)
-            return replace(
-                q,
-                subject=sub_val(q.subject, venv, cenv),
-                binder=x,
-                body=go(q.body, {**venv, q.binder: x}, cenv, penv),
-            )
-        if isinstance(q, Output):
-            return replace(
-                q,
-                subject=sub_val(q.subject, venv, cenv),
-                payload=sub_val(q.payload, venv, cenv),
-                body=go(q.body, venv, cenv, penv),
-            )
-        if isinstance(q, Par):
-            return replace(q, left=go(q.left, venv, cenv, penv), right=go(q.right, venv, cenv, penv))
-        if isinstance(q, New):
-            a = pick(q.channel)
-            return replace(q, channel=a, body=go(q.body, venv, {**cenv, q.channel: a}, penv))
-        if isinstance(q, Rec):
-            x = pick(q.var)
-            return replace(q, var=x, body=go(q.body, venv, cenv, {**penv, q.var: x}))
-        raise TypeError(q)
+            q, venv = rebind(q, "binder", venv, seen)
+        elif isinstance(q, New):
+            q, cenv = rebind(q, "channel", cenv, seen)
+        elif isinstance(q, Rec):
+            q, penv = rebind(q, "var", penv, seen)
+        return q, (venv, cenv, penv)
 
-    return go(p, {}, {}, {})
+    return map_proc(go, p, ({}, {}, {}))
 
 
 # ---------------------------------------------------------------------------

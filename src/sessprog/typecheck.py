@@ -12,13 +12,10 @@ or a witness chain of contradictory constraints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .sestypes import (
-    DepthExceeded,
-    NoAction,
     dual_full,
-    dual_strict,
     dual_strict_path,
     obligation,
     subst_type_var,
@@ -224,6 +221,8 @@ def split_env(delta: dict, left: Process, right: Process, gamma: dict):
     """Distribute each binding to the side where the name occurs; a name
     used by both sides breaks linearity, a name used by neither goes left
     and must be discardable there."""
+    if not delta:
+        return {}, {}
     lnames = _used_names(left, gamma)
     rnames = _used_names(right, gamma)
     dl, dr = {}, {}

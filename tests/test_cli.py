@@ -101,3 +101,42 @@ def test_parse_error_exit(tmp_path, capsys):
 def test_missing_file_exit(capsys):
     code, _, _ = run(capsys, "check", "/nonexistent/x.ssp")
     assert code == 2
+
+
+def test_progress_has_no_judgment_index():
+    with pytest.raises(SystemExit) as e:
+        main(["progress", str(CORPUS / "forwarder.ssp"), "--judgment-index", "0"])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approx", "orphan.ssp", "-3"],
+        ["explore", "forwarder.ssp", "--approx", "-1"],
+        ["oracle", "forwarder.ssp", "--approx", "-1"],
+    ],
+)
+def test_negative_indices_are_usage_errors(argv, capsys):
+    argv[1] = str(CORPUS / argv[1])
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2 and "not a natural number" in capsys.readouterr().err
+
+
+def test_deep_nesting_is_a_limit_not_a_reject(tmp_path, capsys):
+    deep = tmp_path / "deep.ssp"
+    deep.write_text("new a." + "a+!1." * 5000 + "0")
+    code, _, err = run(capsys, "check", deep)
+    assert code == 3 and "limit" in err
+
+
+def test_explore_keeps_a_guarded_restriction_apart(tmp_path, capsys):
+    outs = []
+    for inner in ("b", "c"):
+        f = tmp_path / f"{inner}.ssp"
+        f.write_text(f"new a . new b . (a+!b+.0 | a-?(x).new {inner} . x!1.0 | b-?(y).0)")
+        code, out, _ = run(capsys, "explore", f)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]

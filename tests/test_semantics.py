@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessprog.gen import gen_finite, gen_user
+from sessprog.progress import oracle_dynamic
 from sessprog.semantics import (
     NotUserProcess,
     approximant,
@@ -88,6 +89,23 @@ def test_unfold_renames_clashing_restrictions():
         assert len(set(st_.channels)) == len(st_.channels)
     finals = [st_ for st_ in r.states.values() if is_normal_form(st_)]
     assert len(finals) == 1
+
+
+@pytest.mark.parametrize(
+    "program, twin",
+    [
+        ("new a.(a+!1.0 | new a.a-?(x).0)", "new a.(a+!1.0 | new b.b-?(x).0)"),
+        (
+            "new a.new b.(a+!b+.0 | a-?(x).new b.x!1.0 | b-?(y).0)",
+            "new a.new b.(a+!b+.0 | a-?(x).new c.x!1.0 | b-?(y).0)",
+        ),
+    ],
+)
+def test_same_named_restrictions_agree_with_renamed_twin(program, twin):
+    p, q = parse_process(program), parse_process(twin)
+    rp, rq = reachable(canonicalize(p)), reachable(canonicalize(q))
+    assert list(rp.states) == list(rq.states) and len(rp.edges) == len(rq.edges)
+    assert oracle_dynamic(p).status == oracle_dynamic(q).status
 
 
 def test_reachable_count():

@@ -106,6 +106,11 @@ def test_subst_name_shadowing():
     assert subst_name(p, "x", 5) == p  # the binder shadows the target
 
 
+def test_subst_name_reaches_the_subject_of_a_shadowing_input():
+    q = subst_name(parse_process("x?(x).x!1.0"), "x", Endpoint("b", "+"))
+    assert pretty_proc(q) == "b+?(x).x!1.0"
+
+
 def test_subst_name_capture_is_undefined():
     # replacing x with c+ under new c would capture the endpoint
     p = parse_process("new c.b-!x.c+!1.0")

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ann_delta, corpus_process, subject_reduction_holds, threads_proc
-from sessprog.gen import gen_well_typed
+from sessprog import syntax, typecheck
+from sessprog.gen import gen_well_typed, gen_well_typed_user
 from sessprog.semantics import approximant, canonicalize, state_to_process
 from sessprog.syntax import INF, Endpoint, parse_process, parse_type
 from sessprog.typecheck import (
@@ -278,8 +279,22 @@ def test_subject_reduction_on_cells(seed):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 3))
 def test_approximant_typability(seed, n):
-    from sessprog.gen import gen_well_typed_user
-
     p = gen_well_typed_user(random.Random(seed), cells=1)
     assert check_closed(approximant(p, 0), 0).ok
     assert check_closed(approximant(p, n), n).ok
+
+
+def test_split_env_skips_an_empty_environment(monkeypatch):
+    # delta is empty at every top-level | of a multi-cell program, so the
+    # used-name sets of its sides are never needed
+    calls = []
+    free_names = syntax.free_names
+
+    def counting(p):
+        calls.append(None)
+        return free_names(p)
+
+    monkeypatch.setattr(syntax, "free_names", counting)  # recursive calls too
+    monkeypatch.setattr(typecheck, "free_names", counting)
+    assert check_closed(gen_well_typed_user(random.Random(6), cells=300), INF).ok
+    assert len(calls) < 50_000
