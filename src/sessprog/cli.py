@@ -119,18 +119,19 @@ def _cmd_explore(args) -> int:
     if is_user_process(p):
         p = approximant(p, args.approx)
     r = reachable(canonicalize(p), max_states=args.max_states)
-    nfs = [st for st in r.states.values() if is_normal_form(st)]
+    # every kept state has been stepped, so a normal form is one no edge leaves
+    nfs = len(r.states) - len({st.key for st, _label, _succ in r.edges})
     payload = {
         "states": len(r.states),
         "edges": len(r.edges),
-        "normalForms": len(nfs),
+        "normalForms": nfs,
         "truncated": r.truncated,
     }
     _emit(
         args,
         payload,
         f"states: {len(r.states)}  edges: {len(r.edges)}  "
-        f"normal forms: {len(nfs)}  truncated: {r.truncated}",
+        f"normal forms: {nfs}  truncated: {r.truncated}",
     )
     return EXIT_LIMIT if r.truncated else EXIT_OK
 

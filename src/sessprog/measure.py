@@ -11,18 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import CanonState, RedexLabel, canonicalize, reachable, state_to_process
-from .syntax import (
-    INF,
-    Idle,
-    Input,
-    New,
-    Output,
-    Par,
-    Process,
-    ProcVar,
-    Rec,
-)
+from .semantics import CanonState, RedexLabel, canonicalize, reachable
+from .syntax import INF, Idle, Input, Output, Par, Process, ProcVar, Rec, children, subterms
 
 
 class InfiniteIndex(Exception):
@@ -31,54 +21,57 @@ class InfiniteIndex(Exception):
 
 def _geom_sum(v: int, n: int) -> int:
     # sum_{k=0}^{n-1} v^k with the empty sum 0 and 0^0 = 1
-    if n == 0:
-        return 0
-    if v == 1:
-        return n
-    return (v**n - 1) // (v - 1)
+    return n if v == 1 else (v**n - 1) // (v - 1)
+
+
+def _measures(p: Process) -> tuple[int, dict]:
+    """E of ``p`` and V of each free process variable of ``p`` (absent
+    means 0), in one bottom-up walk without recursion.  Prefixes count 1
+    and parallel composition adds; a recursion of index n pays for n
+    unfoldings of a body that may itself multiply, so it scales the E
+    and the V of its body by the geometric sum of its own V."""
+    order, todo = [], [p]
+    while todo:
+        q = todo.pop()
+        order.append(q)
+        todo += children(q)
+    es, vs = [], []  # E and V (None: no variables) of finished subterms
+    for q in reversed(order):  # every subterm after its children
+        t = type(q)
+        if t is Input or t is Output:
+            es[-1] += 1
+        elif t is Par:
+            e, v = es.pop(), vs.pop()
+            es[-1] += e
+            w = vs[-1]
+            vs[-1] = {**v, **{x: n + v.get(x, 0) for x, n in w.items()}} if v and w else v or w
+        elif t is Idle or t is ProcVar:
+            es.append(0)
+            vs.append({q.ident: 1} if t is ProcVar else None)
+        elif t is Rec:
+            if q.index == INF:  # name the outermost one
+                q = next(r for r in subterms(p) if isinstance(r, Rec) and r.index == INF)
+                raise InfiniteIndex(f"rec[inf] {q.var}")
+            v = vs[-1] or {}
+            g = _geom_sum(v.get(q.var, 0), q.index)
+            es[-1] = (1 + es[-1]) * g
+            vs[-1] = {x: n * g for x, n in v.items() if x != q.var}
+    return es[0], vs[0] or {}
 
 
 def vcount(p: Process, x: str) -> int:
     """Multiplicity bound of the free process variable ``x`` in the full
     unfolding of ``p``."""
-    if isinstance(p, Idle):
-        return 0
-    if isinstance(p, ProcVar):
-        return 1 if p.ident == x else 0
-    if isinstance(p, (Input, Output, New)):
-        return vcount(p.body, x)
-    if isinstance(p, Par):
-        return vcount(p.left, x) + vcount(p.right, x)
-    if isinstance(p, Rec):
-        if p.index == INF:
-            raise InfiniteIndex(f"rec[inf] {p.var}")
-        if p.var == x:
-            return 0
-        return vcount(p.body, x) * _geom_sum(vcount(p.body, p.var), p.index)
-    raise TypeError(p)
+    return _measures(p)[1].get(x, 0)
 
 
 def emeasure(p: Process) -> int:
-    """Upper bound on reduction steps: prefixes count 1, parallel adds,
-    and a recursion of index n pays for n unfoldings of a body that may
-    itself multiply."""
-    if isinstance(p, (Idle, ProcVar)):
-        return 0
-    if isinstance(p, (Input, Output)):
-        return 1 + emeasure(p.body)
-    if isinstance(p, New):
-        return emeasure(p.body)
-    if isinstance(p, Par):
-        return emeasure(p.left) + emeasure(p.right)
-    if isinstance(p, Rec):
-        if p.index == INF:
-            raise InfiniteIndex(f"rec[inf] {p.var}")
-        return (1 + emeasure(p.body)) * _geom_sum(vcount(p.body, p.var), p.index)
-    raise TypeError(p)
+    """Upper bound on the number of reduction steps of ``p``."""
+    return _measures(p)[0]
 
 
 def state_measure(s: CanonState) -> int:
-    return emeasure(state_to_process(s))
+    return sum(emeasure(t) for t in s.threads)
 
 
 def expected_drop(label: RedexLabel) -> int:
@@ -115,7 +108,9 @@ def check_decrease(p: Process, max_states: int = 100_000):
 
 def longest_path(p: Process, max_states: int = 100_000) -> int:
     """Length of the longest reduction sequence; finite because the graph
-    of a finite-index process is acyclic (the measure strictly drops)."""
+    of a finite-index process is acyclic (the measure strictly drops).
+    A process with an infinite index raises ``InfiniteIndex`` first."""
+    _measures(p)  # an infinite index can make the graph cyclic
     s0 = canonicalize(p)
     r = reachable(s0, max_states=max_states)
     if r.truncated:
@@ -123,11 +118,14 @@ def longest_path(p: Process, max_states: int = 100_000) -> int:
     succs: dict = {k: [] for k in r.states}
     for st, _label, succ in r.edges:
         succs[st.key].append(succ.key)
-    memo: dict = {}
-
-    def depth(k):
-        if k not in memo:
-            memo[k] = 1 + max((depth(k2) for k2 in succs[k]), default=-1)
-        return memo[k]
-
-    return depth(s0.key)
+    depth: dict = {}
+    stack = [s0.key]
+    while stack:  # a state is done once all its successors are
+        k = stack[-1]
+        todo = [k2 for k2 in succs[k] if k2 not in depth]
+        if todo:
+            stack += todo
+        else:
+            depth[k] = 1 + max((depth[k2] for k2 in succs[k]), default=-1)
+            stack.pop()
+    return depth[s0.key]

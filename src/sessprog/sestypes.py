@@ -200,7 +200,7 @@ def dual_strict_path(t: SessionType, s: SessionType):
 DUAL_PAIR_BUDGET = 10_000
 
 
-def dual_full(t: SessionType, s: SessionType, budget: int = DUAL_PAIR_BUDGET) -> bool:
+def dual_full(t: SessionType, s: SessionType) -> bool:
     """Duality with the unfolding rule: a pair is discharged structurally
     or by unfolding either side; revisited pairs are discharged
     coinductively (session types denote regular trees, so the reachable
@@ -217,8 +217,8 @@ def dual_full(t: SessionType, s: SessionType, budget: int = DUAL_PAIR_BUDGET) ->
         if key in proven or key in path:
             return True
         seen += 1
-        if seen > budget:
-            raise DepthExceeded(f"more than {budget} type pairs examined")
+        if seen > DUAL_PAIR_BUDGET:
+            raise DepthExceeded(f"more than {DUAL_PAIR_BUDGET} type pairs examined")
         path = path | {key}
 
         def ok():

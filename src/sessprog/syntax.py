@@ -25,14 +25,9 @@ Index = float  # int | INF in practice
 Priority = object  # int | str | INF
 
 
-def index_str(i) -> str:
-    return "inf" if i == INF else str(i)
-
-
 def pri_str(p) -> str:
-    if p == INF:
-        return "inf"
-    return str(p)
+    """A priority or a recursion index as written in source text."""
+    return "inf" if p == INF else str(p)
 
 
 def co(polarity: str) -> str:
@@ -536,16 +531,6 @@ def freshen(p: Process, reserved=()) -> Process:
 # Pretty-printing
 
 
-def pretty(x) -> str:
-    """Render a process or session type in the concrete grammar.
-
-    parse(pretty(x)) is structurally equal to x.
-    """
-    if isinstance(x, (End, TypeVar, Base, TIn, TOut, TRec)):
-        return pretty_type(x)
-    return pretty_proc(x)
-
-
 def pretty_proc(p: Process) -> str:
     if isinstance(p, Idle):
         return "0"
@@ -568,7 +553,7 @@ def pretty_proc(p: Process) -> str:
                 ann += f" ~ {pretty_type(p.neg_type)}"
         return f"new {p.channel}{ann}.{_body(p.body)}"
     if isinstance(p, Rec):
-        return f"rec[{index_str(p.index)}] {p.var}.{_body(p.body)}"
+        return f"rec[{pri_str(p.index)}] {p.var}.{_body(p.body)}"
     raise TypeError(p)
 
 
@@ -593,7 +578,7 @@ def pretty_type(t: SessionType) -> str:
             pay = f"({pay})"
         return f"{op}[{pri_str(t.obl)},{pri_str(t.cap)}] {pay} . {pretty_type(t.cont)}"
     if isinstance(t, TRec):
-        return f"rec[{index_str(t.index)}] {t.var}. {pretty_type(t.body)}"
+        return f"rec[{pri_str(t.index)}] {t.var}. {pretty_type(t.body)}"
     raise TypeError(t)
 
 
@@ -800,8 +785,7 @@ class _Parser:
 
     # -- session types
 
-    def parse_type(self, bound=()) -> SessionType:
-        bound = set(bound)
+    def parse_type(self) -> SessionType:
         tok = self.peek()
         if tok[0] == "end":
             self.next()
@@ -811,7 +795,7 @@ class _Parser:
             return Base()
         if tok[0] == "sym" and tok[1] == "(":
             self.next()
-            t = self.parse_type(bound)
+            t = self.parse_type()
             self.expect("sym", ")")
             return t
         if tok[0] == "sym" and tok[1] in "?!":
@@ -821,9 +805,9 @@ class _Parser:
             self.expect("sym", ",")
             cap = self._priority()
             self.expect("sym", "]")
-            payload = self.parse_type(bound)
+            payload = self.parse_type()
             self.expect("sym", ".")
-            cont = self.parse_type(bound)
+            cont = self.parse_type()
             cls = TIn if tok[1] == "?" else TOut
             return cls(obl, cap, payload, cont)
         if tok[0] == "rec":
@@ -831,7 +815,7 @@ class _Parser:
             idx = self._index()
             var = self._lower_id("type variable")
             self.expect("sym", ".")
-            return TRec(idx, var, self.parse_type(bound | {var}))
+            return TRec(idx, var, self.parse_type())
         if tok[0] == "id":
             self.next()
             if tok[1][0].isupper():

@@ -11,7 +11,6 @@ or a witness chain of contradictory constraints.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .sestypes import (
@@ -241,9 +240,6 @@ def split_env(delta: dict, left: Process, right: Process, gamma: dict):
     return dl, dr
 
 
-_fresh_tv = itertools.count()
-
-
 def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> CheckResult:
     """Check the judgment with type-variable environment sigma, process
     environment gamma (process variable to expected name environment of
@@ -437,7 +433,10 @@ def _check(sigma, gamma, delta, p, iota, out):
                     f"{name_str(u)} has recursion index {t.index}, process has {p.index}",
                     p.pos,
                 )
-            tv = f"{t.var}%{next(_fresh_tv)}"  # avoid clashes across bindings
+            # sigma2 grows with every binding along a path, so its size names
+            # the variable apart from the others in scope; '%' keeps it apart
+            # from the user's type variables
+            tv = f"{t.var}%{len(sigma2)}"
             body = subst_type_var(t.body, t.var, TypeVar(tv))
             sigma2[tv] = _ob(sigma, t.body, p.pos)
             opened[u] = body

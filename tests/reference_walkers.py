@@ -3,16 +3,21 @@ were before the traversal kernel, each with its own constructor
 dispatch: the four-walk canonical key (``_thread_ser``,
 ``_channels_in_order``, ``_make_state``), ``canonicalize`` without
 freshening, ``freshen``, ``approximant``, ``approx_leq``,
-``_rename_clashing_news`` and the two substitutions.
+``_rename_clashing_news`` and the two substitutions.  Also the two
+recursive measure formulas of ``sessprog.measure`` as they were before
+E and V came from one walk: ``emeasure`` calls ``vcount`` under every
+``rec``, so a chain of n nested ``rec`` walks the term about 2^n times.
 
 Test-only reference: ``tests/test_differential.py`` demands that the
-kernel versions give byte-identical keys, terms and verdicts.
+kernel versions give byte-identical keys, terms and verdicts, and
+equal measures.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+from sessprog.measure import InfiniteIndex, _geom_sum
 from sessprog.semantics import CanonState, NotUserProcess
 from sessprog.sestypes import type_key
 from sessprog.syntax import (
@@ -477,3 +482,37 @@ def _merge(anns: dict, threads: list) -> CanonState:
     for t in threads:
         walk(t)
     return _make_state(chan_anns, flat)
+
+
+def vcount(p: Process, x: str) -> int:
+    if isinstance(p, Idle):
+        return 0
+    if isinstance(p, ProcVar):
+        return 1 if p.ident == x else 0
+    if isinstance(p, (Input, Output, New)):
+        return vcount(p.body, x)
+    if isinstance(p, Par):
+        return vcount(p.left, x) + vcount(p.right, x)
+    if isinstance(p, Rec):
+        if p.index == INF:
+            raise InfiniteIndex(f"rec[inf] {p.var}")
+        if p.var == x:
+            return 0
+        return vcount(p.body, x) * _geom_sum(vcount(p.body, p.var), p.index)
+    raise TypeError(p)
+
+
+def emeasure(p: Process) -> int:
+    if isinstance(p, (Idle, ProcVar)):
+        return 0
+    if isinstance(p, (Input, Output)):
+        return 1 + emeasure(p.body)
+    if isinstance(p, New):
+        return emeasure(p.body)
+    if isinstance(p, Par):
+        return emeasure(p.left) + emeasure(p.right)
+    if isinstance(p, Rec):
+        if p.index == INF:
+            raise InfiniteIndex(f"rec[inf] {p.var}")
+        return (1 + emeasure(p.body)) * _geom_sum(vcount(p.body, p.var), p.index)
+    raise TypeError(p)

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from sessprog import semantics
 from sessprog.cli import main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -57,6 +58,23 @@ def test_explore_truncation_exit(capsys):
         capsys, "explore", CORPUS / "forwarder.ssp", "--approx", "3", "--max-states", "5"
     )
     assert code == 3
+
+
+def test_explore_steps_each_state_once(monkeypatch, capsys):
+    step, calls = semantics.step, []
+
+    def counted(s):
+        calls.append(s.key)
+        return step(s)
+
+    monkeypatch.setattr(semantics, "step", counted)
+    for limit, exit_code in (("100000", 0), ("5", 3)):
+        calls.clear()
+        code, out, _ = run(
+            capsys, "explore", CORPUS / "forwarder.ssp", "--approx", 3, "--max-states", limit, "--json"
+        )
+        assert code == exit_code
+        assert sorted(calls) == sorted(set(calls)) and len(calls) == json.loads(out)["states"]
 
 
 def test_run_is_seeded(capsys):

@@ -6,7 +6,8 @@ agree byte for byte: reachable key sequences and edge counts,
 approximants, the approximation preorder and the oracle's JSON.  The
 name-clashing programs of ``_clashing`` exercise ``freshen``,
 ``_rename_clashing_news`` and the canonical key of an unfreshened
-thread list, where the two must agree as well.
+thread list, where the two must agree as well.  The one-walk measures
+must give the E and V of the recursive formulas on finite programs.
 """
 
 import contextlib
@@ -15,10 +16,34 @@ import random
 
 import reference_walkers as ref
 from sessprog import progress, semantics
-from sessprog.gen import gen_finite, gen_user, gen_well_typed_user
+from sessprog.gen import gen_finite, gen_subst_pair, gen_user, gen_well_typed_user
+from sessprog.measure import emeasure, state_measure, vcount
 from sessprog.progress import Truncated, oracle_dynamic
-from sessprog.semantics import _merge, _rename_clashing_news, approximant, approx_leq, canonicalize, reachable
-from sessprog.syntax import Endpoint, Idle, Input, New, Output, Par, ProcVar, Rec, Var, all_idents, freshen, pretty_proc
+from sessprog.semantics import (
+    _merge,
+    _rename_clashing_news,
+    approximant,
+    approx_leq,
+    canonicalize,
+    reachable,
+    state_to_process,
+)
+from sessprog.syntax import (
+    Endpoint,
+    Idle,
+    Input,
+    New,
+    Output,
+    Par,
+    ProcVar,
+    Rec,
+    Var,
+    all_idents,
+    free_proc_vars,
+    freshen,
+    pretty_proc,
+    subterms,
+)
 
 _PATCHES = (
     (semantics, ("_make_state", "_merge", "canonicalize", "_rename_clashing_news",
@@ -124,3 +149,26 @@ def test_canonicalize_matches_reference_where_no_name_is_reused():
     for _ in range(200):
         p = gen_well_typed_user(rng)
         assert canonicalize(p).key == ref.canonicalize(p).key
+
+
+def test_measures_match_the_recursive_formulas():
+    rng = random.Random(5)
+    programs = []
+    for _ in range(3000):
+        programs += [gen_finite(rng, depth=7, max_index=4), gen_subst_pair(rng)[0]]
+    compared = 0
+    for p in programs:
+        assert emeasure(p) == ref.emeasure(p)
+        for r in subterms(p):
+            if isinstance(r, Rec):
+                assert vcount(r.body, r.var) == ref.vcount(r.body, r.var)
+                compared += 1
+        for x in free_proc_vars(p) | {"Unused"}:
+            assert vcount(p, x) == ref.vcount(p, x)
+    assert compared > 3000 and max(map(emeasure, programs)) > 10**4
+    states = 0
+    for p in programs:
+        for s in reachable(canonicalize(p), max_states=20).states.values():
+            assert state_measure(s) == ref.emeasure(state_to_process(s))
+            states += 1
+    assert states > 10_000

@@ -1,11 +1,16 @@
-"""Import hygiene of the library: every import sits at module level and
-every imported name is used.  ``__init__.py`` re-exports names, so only
-the placement rule applies to it."""
+"""Hygiene of the library: every import sits at module level and every
+imported name is used (``__init__.py`` re-exports names, so only the
+placement rule applies to it), and every module-level function and
+class is used somewhere outside its own body."""
 
 import ast
 import pathlib
+from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sessprog"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "sessprog"
+# where a library definition may be used
+USERS = [REPO / d for d in ("src", "tests", "bench", "scripts")]
 
 
 def _modules():
@@ -49,3 +54,55 @@ def test_the_check_catches_both_faults(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import os\nimport sys\n\n\ndef f():\n    import json\n    return sys.argv, json\n")
     assert import_problems(bad) == ["bad.py:6: import inside a block", "bad.py:1: unused import os"]
+
+
+def _references(node) -> Counter:
+    """How often each name is referenced under ``node``: names,
+    attributes, import aliases and identifier-like string constants (the
+    benchmark's tracer names the functions it wraps as strings)."""
+    refs: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            refs.update(n.name.split("."))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            refs[n.value] += 1
+    return refs
+
+
+def dead_definitions(modules: list, users: list) -> list:
+    """Module-level functions and classes of ``modules`` that no file
+    under ``users`` references outside the definition's own body."""
+    used: Counter = Counter()
+    for root in users:
+        for path in sorted(root.rglob("*.py")):
+            used += _references(ast.parse(path.read_text(), filename=str(path)))
+    dead = []
+    for path in modules:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if used[node.name] <= _references(node)[node.name]:
+                    dead.append(f"{path.name}:{node.lineno}: {node.name} is never used")
+    return dead
+
+
+def test_every_definition_is_used():
+    assert dead_definitions(_modules(), USERS) == []
+
+
+def test_the_check_catches_dead_definitions(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def used():\n    return 1\n\n\n"
+        "def by_name():\n    return 2\n\n\n"
+        "def only_itself(n):\n    return only_itself(n - 1) if n else used()\n\n\n"
+        "class Never:\n    pass\n"
+    )
+    (tmp_path / "user.py").write_text("import lib\n\nTARGETS = ('by_name',)\n")
+    assert dead_definitions([lib], [tmp_path]) == [
+        "lib.py:9: only_itself is never used",
+        "lib.py:13: Never is never used",
+    ]

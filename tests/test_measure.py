@@ -1,9 +1,12 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sessprog.cli import main
 from sessprog.gen import gen_finite, gen_subst_pair
 from sessprog.measure import (
     InfiniteIndex,
@@ -57,6 +60,60 @@ def test_infinite_index_rejected():
         emeasure(P("rec[inf]X.X"))
     with pytest.raises(InfiniteIndex):
         vcount(P("rec[inf]Y.X"), "X")
+    # E and V come from one walk, so a shadowed infinite index is no exception
+    with pytest.raises(InfiniteIndex):
+        vcount(P("rec[2]X.rec[inf]Y.0"), "X")
+
+
+def test_infinite_index_names_the_outermost_recursion():
+    with pytest.raises(InfiniteIndex, match="rec.inf. X$"):
+        emeasure(P("rec[inf]X.(rec[inf]Y.Y | rec[inf]Z.Z) | rec[inf]W.W"))
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the body after ``seconds`` of wall time."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_deep_rec_chain_in_one_walk(tmp_path, capsys):
+    # a walk that measures V of a rec body apart from its E takes about
+    # 2^200 steps here; the deadline makes that a failure, not a hang
+    chain = "".join(f"rec[1]X{i}." for i in range(200)) + "0"
+    f = tmp_path / "chain.ssp"
+    f.write_text(chain)
+    with _deadline(60):
+        assert emeasure(P(chain)) == 200
+        assert main(["measure", str(f)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "E = 200" and len(out) == 201 and all(line.endswith(" = 0") for line in out[1:])
+
+
+@pytest.mark.parametrize(
+    "program, length",
+    [
+        ("new a.(rec[300]X.a+!1.X | rec[300]Y.a-?(x).Y)", 900),
+        ("new a.(rec[600]X.a+!1.X | rec[600]Y.a-?(x).Y)", 1800),
+        ("new a.(a+!1.0 | a-?(x).0 | a-?(y).a+!2.0)", 2),  # the other run stops after 1
+    ],
+)
+def test_longest_path(program, length):
+    assert longest_path(P(program)) == length
+
+
+def test_longest_path_rejects_an_infinite_index():
+    with pytest.raises(InfiniteIndex):
+        longest_path(P("rec[inf]X.X"))
 
 
 def test_big_integers():

@@ -163,6 +163,16 @@ def test_rec_shape_mismatch():
     assert not v.ok and v.diagnostics[0].rule == "RecShapeMismatch"
 
 
+def test_diagnostics_do_not_depend_on_earlier_calls():
+    p = parse_process(
+        "new a : rec[inf]t. ![p1,p2] int . t . "
+        "(rec[inf]X. a+!1.rec[inf]Z.X | rec[inf]Y.a-?(x).Y)"
+    )
+    first, second = (check_closed(p, INF).diagnostics for _ in range(2))
+    assert [str(d) for d in first] == [str(d) for d in second]
+    assert "a+ : t%0 is not recursive at rec[inf]Z" in str(first[0])
+
+
 def test_rec_index_exceeds_judgment():
     v = check_closed(
         parse_process(
