@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -55,11 +56,18 @@ def _index_arg(s: str):
     return INF if s == "inf" else _natural(s)
 
 
+def _print(text: str) -> None:
+    """Print to stdout.  A reader that has gone (``| head -1``) is not a
+    fault: later output goes to the null device, so that the final flush
+    cannot fail again and the exit code stays the command's."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(text)
+    _print(json.dumps(payload, sort_keys=True, indent=2) if args.json else text)
 
 
 def _load(path: str) -> Process:
@@ -104,7 +112,7 @@ def _cmd_run(args) -> int:
         label, s = rng.choice(succs)
         lines.append(label.describe())
         if not args.json:
-            print(f"{label.describe():30s} {pretty_proc(state_to_process(s))}")
+            _print(f"{label.describe():30s} {pretty_proc(state_to_process(s))}")
     stuck = is_normal_form(s)
     _emit(
         args,

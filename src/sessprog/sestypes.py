@@ -1,6 +1,7 @@
 """Session-type operations: well-formedness, unfolding, obligation and
-capability, syntactic dualization, and the two duality checkers (strict
-structural duality and full duality closed under unfolding)."""
+capability, syntactic dualization, the structural duality rule and the
+two checkers built on it (strict duality and full duality closed under
+unfolding)."""
 
 from __future__ import annotations
 
@@ -161,99 +162,96 @@ def type_eq(t: SessionType, s: SessionType) -> bool:
     return type_key(t) == type_key(s)
 
 
+def dual_rule(u: SessionType, v: SessionType, depth: int, uenv: dict, venv: dict):
+    """The structural duality rule on one pair, whose rec binders map to
+    depth markers in ``uenv`` and ``venv``.  Returns True when the pair
+    holds outright (end against end, variables bound at the same depth),
+    its single premise ``(u', v', depth', uenv', venv')`` for dual
+    prefixes with swapped priority pairs and equal payloads or for
+    recursions with equal indices, and None when the pair fails.
+    Priorities compare syntactically."""
+    if isinstance(u, End) and isinstance(v, End):
+        return True
+    if isinstance(u, TypeVar) and isinstance(v, TypeVar):
+        return uenv.get(u.ident, u.ident) == venv.get(v.ident, v.ident) or None
+    if (isinstance(u, TIn) and isinstance(v, TOut)) or (
+        isinstance(u, TOut) and isinstance(v, TIn)
+    ):
+        if u.obl != v.cap or u.cap != v.obl or not type_eq(u.payload, v.payload):
+            return None
+        return u.cont, v.cont, depth, uenv, venv
+    if isinstance(u, TRec) and isinstance(v, TRec) and u.index == v.index:
+        mark = f"@{depth}"
+        return u.body, v.body, depth + 1, {**uenv, u.var: mark}, {**venv, v.var: mark}
+    return None
+
+
 def dual_strict(t: SessionType, s: SessionType) -> bool:
-    """Structural duality without the unfolding rule: end against end,
-    matching variables, prefixes with swapped priority pairs and equal
-    payloads, recursions with equal indices.  Priorities compare
-    syntactically."""
+    """Structural duality without the unfolding rule."""
     return dual_strict_path(t, s)[0]
 
 
 def dual_strict_path(t: SessionType, s: SessionType):
     """Like dual_strict but also reports the path of prefix positions at
     which the first mismatch occurs (empty tuple on success)."""
-
-    def go(u, v, depth, uenv, venv, path):
-        if isinstance(u, End) and isinstance(v, End):
+    pair, prefixes = (t, s, 0, {}, {}), 0
+    while True:
+        premise = dual_rule(*pair)
+        if premise is True:
             return True, ()
-        if isinstance(u, TypeVar) and isinstance(v, TypeVar):
-            if uenv.get(u.ident, u.ident) == venv.get(v.ident, v.ident):
-                return True, ()
-            return False, path
-        if (isinstance(u, TIn) and isinstance(v, TOut)) or (
-            isinstance(u, TOut) and isinstance(v, TIn)
-        ):
-            if u.obl != v.cap or u.cap != v.obl or not type_eq(u.payload, v.payload):
-                return False, path
-            return go(u.cont, v.cont, depth, uenv, venv, path + (len(path),))
-        if isinstance(u, TRec) and isinstance(v, TRec) and u.index == v.index:
-            mark = f"@{depth}"
-            return go(
-                u.body, v.body, depth + 1,
-                {**uenv, u.var: mark}, {**venv, v.var: mark}, path,
-            )
-        return False, path
-
-    return go(t, s, 0, {}, {}, ())
+        if premise is None:
+            return False, tuple(range(prefixes))
+        prefixes += isinstance(pair[0], (TIn, TOut))
+        pair = premise
 
 
 DUAL_PAIR_BUDGET = 10_000
 
 
+def _pair_key(pair) -> tuple:
+    u, v, depth, uenv, venv = pair
+    return (type_key(u, uenv, depth), type_key(v, venv, depth))
+
+
+def _premises(pair):
+    """Lazily, the premise of ``pair`` under the structural rule, then
+    under unfolding the left side, then the right side."""
+    premise = dual_rule(*pair)
+    if premise is not None:
+        yield premise
+    u, v, depth, uenv, venv = pair
+    if isinstance(u, TRec) and u.index > 0:
+        yield unfold(u), v, depth, uenv, venv
+    if isinstance(v, TRec) and v.index > 0:
+        yield u, unfold(v), depth, uenv, venv
+
+
 def dual_full(t: SessionType, s: SessionType) -> bool:
-    """Duality with the unfolding rule: a pair is discharged structurally
-    or by unfolding either side; revisited pairs are discharged
-    coinductively (session types denote regular trees, so the reachable
-    pair set is finite)."""
-    seen = 0
-
-    def aligned(u, v, depth, uenv, venv):
-        # rename rec binders to depth markers so memo keys line up
-        return (type_key(u, uenv, depth), type_key(v, venv, depth))
-
-    def try_pair(u, v, depth, uenv, venv, path, proven):
-        nonlocal seen
-        key = aligned(u, v, depth, uenv, venv)
-        if key in proven or key in path:
+    """Duality with the unfolding rule.  Every rule has one premise, so a
+    depth-first search looks for a path of pairs that ends in one holding
+    outright or returns to a pair on the current path (coinduction).  A
+    pair whose premises all failed is never entered again; DepthExceeded
+    past DUAL_PAIR_BUDGET distinct pairs."""
+    root = (t, s, 0, {}, {})
+    stack = [(_pair_key(root), _premises(root))]
+    on_path, failed = {stack[0][0]}, set()
+    while stack:
+        key, premises = stack[-1]
+        premise = next(premises, None)
+        if premise is None:
+            stack.pop()
+            on_path.remove(key)
+            failed.add(key)
+            continue
+        if premise is True:
             return True
-        seen += 1
-        if seen > DUAL_PAIR_BUDGET:
+        key = _pair_key(premise)
+        if key in on_path:
+            return True
+        if key in failed:
+            continue
+        if len(on_path) + len(failed) >= DUAL_PAIR_BUDGET:
             raise DepthExceeded(f"more than {DUAL_PAIR_BUDGET} type pairs examined")
-        path = path | {key}
-
-        def ok():
-            proven.add(key)
-            return True
-
-        if isinstance(u, End) and isinstance(v, End):
-            return ok()
-        if isinstance(u, TypeVar) and isinstance(v, TypeVar):
-            if uenv.get(u.ident, u.ident) == venv.get(v.ident, v.ident):
-                return ok()
-        if (isinstance(u, TIn) and isinstance(v, TOut)) or (
-            isinstance(u, TOut) and isinstance(v, TIn)
-        ):
-            if (
-                u.obl == v.cap
-                and u.cap == v.obl
-                and type_eq(u.payload, v.payload)
-                and try_pair(u.cont, v.cont, depth, uenv, venv, path, proven)
-            ):
-                return ok()
-        if isinstance(u, TRec) and isinstance(v, TRec) and u.index == v.index:
-            mark = f"@{depth}"
-            if try_pair(
-                u.body, v.body, depth + 1,
-                {**uenv, u.var: mark}, {**venv, v.var: mark}, path, proven,
-            ):
-                return ok()
-        # d-unfold, either side
-        if isinstance(u, TRec) and u.index > 0:
-            if try_pair(unfold(u), v, depth, uenv, venv, path, proven):
-                return ok()
-        if isinstance(v, TRec) and v.index > 0:
-            if try_pair(u, unfold(v), depth, uenv, venv, path, proven):
-                return ok()
-        return False
-
-    return try_pair(t, s, 0, {}, {}, frozenset(), set())
+        on_path.add(key)
+        stack.append((key, _premises(premise)))
+    return False

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .sestypes import (
     dual_full,
+    dual_rule,
     dual_strict_path,
     obligation,
     subst_type_var,
@@ -124,6 +125,7 @@ def solve(constraints) -> SolveResult:
 
     lowers = []  # (src var | None, amount, dst var, constraint)
     uppers = []  # (var, bound, constraint)
+    val: dict = {}  # every variable, in order of first appearance
     for (l, r), c in uniq.items():
         if r == INF:
             continue
@@ -133,6 +135,7 @@ def solve(constraints) -> SolveResult:
             if not l < r:
                 return CycleWitness((c,))
             continue
+        val.update((v, 0) for v in (l, r) if isinstance(v, str))
         if isinstance(r, str):
             if isinstance(l, str):
                 lowers.append((l, 1, r, c))
@@ -141,12 +144,9 @@ def solve(constraints) -> SolveResult:
         else:
             uppers.append((l, r - 1, c))
 
-    vars_ = {v for (s, _a, d, _c) in lowers for v in (s, d) if v is not None}
-    vars_ |= {v for (v, _b, _c) in uppers}
-    val = {v: 0 for v in vars_}
-    pred: dict = {v: None for v in vars_}
+    pred: dict = dict.fromkeys(val)
 
-    n = len(vars_)
+    n = len(val)
     for it in range(n + 1):
         changed = None
         for s, a, d, c in lowers:
@@ -471,20 +471,10 @@ def context_reduce(delta: dict) -> list:
             d2[u] = unfold(t)
             out.append(d2)
     for u, t in delta.items():
-        if not (isinstance(u, Endpoint) and u.polarity == "+"):
+        if not (isinstance(u, Endpoint) and u.polarity == "+" and isinstance(t, (TIn, TOut))):
             continue
         s = delta.get(u.peer)
-        if s is None:
-            continue
-        pair = None
-        if isinstance(t, TOut) and isinstance(s, TIn):
-            pair = (t, s)
-        elif isinstance(t, TIn) and isinstance(s, TOut):
-            pair = (t, s)
-        if pair is None:
-            continue
-        a, b = pair
-        if a.obl == b.cap and a.cap == b.obl and type_eq(a.payload, b.payload):
+        if s is not None and dual_rule(t, s, 0, {}, {}) is not None:
             d2 = dict(delta)
             d2[u] = t.cont
             d2[u.peer] = s.cont

@@ -7,10 +7,15 @@ freshening, ``freshen``, ``approximant``, ``approx_leq``,
 recursive measure formulas of ``sessprog.measure`` as they were before
 E and V came from one walk: ``emeasure`` calls ``vcount`` under every
 ``rec``, so a chain of n nested ``rec`` walks the term about 2^n times.
+And the two recursive duality checkers of ``sessprog.sestypes`` as they
+were before they shared one structural rule: ``dual_full`` is a
+backtracking search that forgets the pairs it has failed on, and it
+counts every pair it re-enters against ``DUAL_PAIR_BUDGET``.
 
 Test-only reference: ``tests/test_differential.py`` demands that the
 kernel versions give byte-identical keys, terms and verdicts, and
-equal measures.
+equal measures, and identical duality verdicts and mismatch paths
+wherever the reference finishes.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import replace
 
 from sessprog.measure import InfiniteIndex, _geom_sum
 from sessprog.semantics import CanonState, NotUserProcess
-from sessprog.sestypes import type_key
+from sessprog.sestypes import DUAL_PAIR_BUDGET, DepthExceeded, type_eq, type_key, unfold
 from sessprog.syntax import (
     INF,
     Base,
@@ -516,3 +521,81 @@ def emeasure(p: Process) -> int:
             raise InfiniteIndex(f"rec[inf] {p.var}")
         return (1 + emeasure(p.body)) * _geom_sum(vcount(p.body, p.var), p.index)
     raise TypeError(p)
+
+
+def dual_strict_path(t: SessionType, s: SessionType):
+    def go(u, v, depth, uenv, venv, path):
+        if isinstance(u, End) and isinstance(v, End):
+            return True, ()
+        if isinstance(u, TypeVar) and isinstance(v, TypeVar):
+            if uenv.get(u.ident, u.ident) == venv.get(v.ident, v.ident):
+                return True, ()
+            return False, path
+        if (isinstance(u, TIn) and isinstance(v, TOut)) or (
+            isinstance(u, TOut) and isinstance(v, TIn)
+        ):
+            if u.obl != v.cap or u.cap != v.obl or not type_eq(u.payload, v.payload):
+                return False, path
+            return go(u.cont, v.cont, depth, uenv, venv, path + (len(path),))
+        if isinstance(u, TRec) and isinstance(v, TRec) and u.index == v.index:
+            mark = f"@{depth}"
+            return go(
+                u.body, v.body, depth + 1,
+                {**uenv, u.var: mark}, {**venv, v.var: mark}, path,
+            )
+        return False, path
+
+    return go(t, s, 0, {}, {}, ())
+
+
+def dual_full(t: SessionType, s: SessionType) -> bool:
+    seen = 0
+
+    def aligned(u, v, depth, uenv, venv):
+        return (type_key(u, uenv, depth), type_key(v, venv, depth))
+
+    def try_pair(u, v, depth, uenv, venv, path, proven):
+        nonlocal seen
+        key = aligned(u, v, depth, uenv, venv)
+        if key in proven or key in path:
+            return True
+        seen += 1
+        if seen > DUAL_PAIR_BUDGET:
+            raise DepthExceeded(f"more than {DUAL_PAIR_BUDGET} type pairs examined")
+        path = path | {key}
+
+        def ok():
+            proven.add(key)
+            return True
+
+        if isinstance(u, End) and isinstance(v, End):
+            return ok()
+        if isinstance(u, TypeVar) and isinstance(v, TypeVar):
+            if uenv.get(u.ident, u.ident) == venv.get(v.ident, v.ident):
+                return ok()
+        if (isinstance(u, TIn) and isinstance(v, TOut)) or (
+            isinstance(u, TOut) and isinstance(v, TIn)
+        ):
+            if (
+                u.obl == v.cap
+                and u.cap == v.obl
+                and type_eq(u.payload, v.payload)
+                and try_pair(u.cont, v.cont, depth, uenv, venv, path, proven)
+            ):
+                return ok()
+        if isinstance(u, TRec) and isinstance(v, TRec) and u.index == v.index:
+            mark = f"@{depth}"
+            if try_pair(
+                u.body, v.body, depth + 1,
+                {**uenv, u.var: mark}, {**venv, v.var: mark}, path, proven,
+            ):
+                return ok()
+        if isinstance(u, TRec) and u.index > 0:
+            if try_pair(unfold(u), v, depth, uenv, venv, path, proven):
+                return ok()
+        if isinstance(v, TRec) and v.index > 0:
+            if try_pair(u, unfold(v), depth, uenv, venv, path, proven):
+                return ok()
+        return False
+
+    return try_pair(t, s, 0, {}, {}, frozenset(), set())

@@ -1,9 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from sessprog import semantics
+from sessprog import semantics, sestypes
 from sessprog.cli import main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -109,6 +112,28 @@ def test_dual_verdicts(capsys):
     assert "dual_strict: False" in out and "dual_full: True" in out
 
 
+# dual only through unfolding: 30 outputs against 31 inputs per turn
+_LONG_CYCLE = ("rec[inf]x. " + "![a,b] int . " * 30 + "x", "rec[inf]y. " + "?[b,a] int . " * 31 + "y")
+
+
+def test_dual_decides_a_pair_of_930_type_pairs(capsys):
+    code, out, err = run(capsys, "dual", *_LONG_CYCLE)
+    assert code == 0 and "dual_full: True" in out and err == ""
+
+
+def test_dual_pair_budget_is_a_limit(monkeypatch, capsys):
+    monkeypatch.setattr(sestypes, "DUAL_PAIR_BUDGET", 100)
+    code, _, err = run(capsys, "dual", *_LONG_CYCLE)
+    assert code == 3 and "limit: more than 100 type pairs examined" in err
+
+
+def test_check_rejects_a_non_dual_annotation_at_index_12(tmp_path, capsys):
+    f = tmp_path / "r12.ssp"
+    f.write_text("new a : ![al,be] int . rec[12]t. ![al,be] int . t ~ rec[12]t. ?[be,al] int . t . 0\n")
+    code, out, _ = run(capsys, "check", f)
+    assert code == 1 and "DualityFailure" in out
+
+
 def test_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.ssp"
     bad.write_text("new . 0")
@@ -158,3 +183,26 @@ def test_explore_keeps_a_guarded_restriction_apart(tmp_path, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "mutual.ssp"],
+        ["run", "forwarder.ssp", "--max-steps", "50"],
+        ["check", "forwarder.ssp", "--json"],
+    ],
+)
+def test_a_closed_stdout_is_not_a_reject(argv):
+    argv[1] = str(CORPUS / argv[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "sessprog.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(CORPUS.parent / "src")},
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0 and b"Traceback" not in done.stderr, done.stderr.decode()

@@ -8,15 +8,18 @@ name-clashing programs of ``_clashing`` exercise ``freshen``,
 ``_rename_clashing_news`` and the canonical key of an unfreshened
 thread list, where the two must agree as well.  The one-walk measures
 must give the E and V of the recursive formulas on finite programs.
+The duality checkers must give the verdicts and mismatch paths of the
+recursive ones wherever those finish.
 """
 
 import contextlib
+import itertools
 import json
 import random
 
 import reference_walkers as ref
-from sessprog import progress, semantics
-from sessprog.gen import gen_finite, gen_subst_pair, gen_user, gen_well_typed_user
+from sessprog import gen, progress, semantics
+from sessprog.gen import gen_finite, gen_subst_pair, gen_type, gen_user, gen_well_typed_user
 from sessprog.measure import emeasure, state_measure, vcount
 from sessprog.progress import Truncated, oracle_dynamic
 from sessprog.semantics import (
@@ -28,7 +31,9 @@ from sessprog.semantics import (
     reachable,
     state_to_process,
 )
+from sessprog.sestypes import DepthExceeded, dual_full, dual_strict_path, syntactic_dual, unfold
 from sessprog.syntax import (
+    INF,
     Endpoint,
     Idle,
     Input,
@@ -37,12 +42,15 @@ from sessprog.syntax import (
     Par,
     ProcVar,
     Rec,
+    TRec,
     Var,
     all_idents,
     free_proc_vars,
     freshen,
+    map_type,
     pretty_proc,
     subterms,
+    type_children,
 )
 
 _PATCHES = (
@@ -172,3 +180,67 @@ def test_measures_match_the_recursive_formulas():
             assert state_measure(s) == ref.emeasure(state_to_process(s))
             states += 1
     assert states > 10_000
+
+
+def _rewrite_one_rec(rng, t, pick, rewrite):
+    """``t`` with one of its ``rec`` subterms that satisfy ``pick``,
+    chosen at random, replaced by ``rewrite`` of it."""
+    recs = []
+
+    def collect(u):
+        if isinstance(u, TRec) and pick(u):
+            recs.append(u)
+        for c in type_children(u):
+            collect(c)
+
+    def rebuild(u):
+        return rewrite(u) if u is target else map_type(rebuild, u)
+
+    collect(t)
+    if not recs:
+        return t
+    target = rng.choice(recs)
+    return rebuild(t)
+
+
+def _type_pairs(monkeypatch, rng, n):
+    """Quarters: a type with its syntactic dual; the same after a few
+    unfoldings anywhere on either side; that again with one recursion
+    index of the dual changed; two independent types.  Priority names
+    restart for every type, so independent types share them."""
+
+    def fresh_type():
+        monkeypatch.setattr(gen, "_uid", itertools.count())
+        return gen_type(rng, rng.randint(2, 8))
+
+    for i in range(n):
+        t = fresh_type()
+        s = fresh_type() if i % 4 == 3 else syntactic_dual(t)
+        if i % 4 == 2:
+            s = _rewrite_one_rec(
+                rng, s, lambda u: True,
+                lambda u: TRec(rng.choice([0, 1, 2, 4, 8, 12, INF]), u.var, u.body),
+            )
+        if i % 4 in (1, 2):
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    t = _rewrite_one_rec(rng, t, lambda u: u.index > 0, unfold)
+                else:
+                    s = _rewrite_one_rec(rng, s, lambda u: u.index > 0, unfold)
+        yield t, s
+
+
+def test_duality_matches_the_recursive_checkers(monkeypatch):
+    verdicts = []
+    for t, s in _type_pairs(monkeypatch, random.Random(13), 6000):
+        assert dual_strict_path(t, s) == ref.dual_strict_path(t, s)
+        ours = dual_full(t, s)
+        try:
+            theirs = ref.dual_full(t, s)
+        except DepthExceeded:
+            continue  # the reference re-enters failed pairs until the budget runs out
+        assert ours == theirs, (t, s)
+        verdicts.append((ours, dual_strict_path(t, s)[0]))
+    # both verdicts occur, and unfolding decides some pairs strictness does not
+    assert {v for v, _strict in verdicts} == {True, False}
+    assert any(full and not strict for full, strict in verdicts)

@@ -1,7 +1,8 @@
 """Hygiene of the library: every import sits at module level and every
 imported name is used (``__init__.py`` re-exports names, so only the
-placement rule applies to it), and every module-level function and
-class is used somewhere outside its own body."""
+placement rule applies to it), every module-level function and class
+is used somewhere outside its own body, and the recursive functions are
+the ones pinned in ``RECURSIVE``."""
 
 import ast
 import pathlib
@@ -106,3 +107,102 @@ def test_the_check_catches_dead_definitions(tmp_path):
         "lib.py:9: only_itself is never used",
         "lib.py:13: Never is never used",
     ]
+
+
+def _own_nodes(node):
+    """The nodes under ``node`` outside any function or class it defines
+    (the definitions themselves included)."""
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        n = stack.pop()
+        yield n
+        if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(n))
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _reference_graph(tree) -> dict:
+    """For each function of a module, nested functions and methods
+    included, the functions of that module it names: by a call, as a
+    ``self.`` method, or passed by name (``map(f, ...)``)."""
+    graph: dict = {}
+
+    def add(fn, qual, scope, methods):
+        own = list(_own_nodes(fn))
+        scope = {**scope, **{n.name: f"{qual}.{n.name}" for n in own if isinstance(n, _DEFS)}}
+        graph[qual] = {scope[n.id] for n in own if isinstance(n, ast.Name) and n.id in scope}
+        graph[qual] |= {
+            methods[n.attr] for n in own
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id == "self" and n.attr in methods
+        }
+        for n in own:
+            if isinstance(n, _DEFS):
+                add(n, scope[n.name], scope, methods)
+
+    top = {n.name: n.name for n in tree.body if isinstance(n, _DEFS)}
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            add(node, node.name, top, {})
+        elif isinstance(node, ast.ClassDef):
+            methods = {f.name: f"{node.name}.{f.name}" for f in node.body if isinstance(f, _DEFS)}
+            for f in node.body:
+                if isinstance(f, _DEFS):
+                    add(f, methods[f.name], top, methods)
+    return graph
+
+
+def recursive_functions(paths: list) -> set:
+    """``module:function`` for every function that lies on a cycle of
+    references within its module."""
+    found = set()
+    for path in paths:
+        graph = _reference_graph(ast.parse(path.read_text(), filename=str(path)))
+        for fn in graph:
+            seen, todo = set(), list(graph[fn])
+            while todo and fn not in seen:
+                g = todo.pop()
+                if g not in seen:
+                    seen.add(g)
+                    todo.extend(graph[g])
+            if fn in seen:
+                found.add(f"{path.stem}:{fn}")
+    return found
+
+
+# Every recursive function of the library.  Each recurses once per level
+# of the term it walks, so its depth is bounded by the recursion limit
+# (ROADMAP item 5(b)).  A function that stops recursing leaves this list.
+RECURSIVE = {
+    "gen:gen_finite.go", "gen:gen_subst_pair.go", "gen:gen_type.go",
+    "semantics:_serialize.go", "semantics:approx_leq_type", "semantics:approximant_type",
+    "sestypes:capability", "sestypes:obligation", "sestypes:syntactic_dual",
+    "sestypes:type_key", "sestypes:well_formed.go",
+    "syntax:_Parser._cont", "syntax:_Parser.parse_prefix", "syntax:_Parser.parse_proc",
+    "syntax:_Parser.parse_type", "syntax:_all_idents", "syntax:_body", "syntax:free_names",
+    "syntax:free_proc_vars", "syntax:free_type_vars", "syntax:pretty_proc",
+    "syntax:pretty_type", "syntax:subst_type_var",
+    "typecheck:_check",
+}
+
+
+def test_recursion_inventory():
+    assert recursive_functions(_modules()) == RECURSIVE
+
+
+def test_the_inventory_catches_each_kind_of_recursion(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def walk(t):\n    return list(map(walk, t))\n\n\n"
+        "def even(n):\n    return n == 0 or odd(n - 1)\n\n\n"
+        "def odd(n):\n    return n != 0 and even(n - 1)\n\n\n"
+        "def outer(t):\n    def go(u):\n        return [go(c) for c in u]\n\n    return go(t)\n\n\n"
+        "def flat(t):\n    return walk(t) + [even(len(t))]\n\n\n"
+        "class P:\n    def a(self):\n        return self.b()\n\n    def b(self):\n        return self.a()\n\n"
+        "    def c(self):\n        return self.a()\n"
+    )
+    assert recursive_functions([lib]) == {
+        "lib:walk", "lib:even", "lib:odd", "lib:outer.go", "lib:P.a", "lib:P.b",
+    }

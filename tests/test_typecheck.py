@@ -1,10 +1,14 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ann_delta, corpus_process, subject_reduction_holds, threads_proc
+from helpers import CORPUS, ann_delta, corpus_process, subject_reduction_holds, threads_proc
 from sessprog import syntax, typecheck
 from sessprog.gen import gen_well_typed, gen_well_typed_user
 from sessprog.semantics import approximant, canonicalize, state_to_process
@@ -57,6 +61,28 @@ def test_solve_reflexive():
     w = solve([C("be", "be")])
     assert isinstance(w, CycleWitness)
     assert [(c.lhs, c.rhs) for c in w.constraints] == [("be", "be")]
+
+
+def test_assignment_order_does_not_depend_on_the_hash_seed():
+    script = (
+        "import json, sys\n"
+        "from sessprog.progress import verify_static\n"
+        "from sessprog.syntax import parse_program\n"
+        "p = parse_program(open(sys.argv[1]).read()).process\n"
+        "print(json.dumps(verify_static(p).to_json()))\n"
+    )
+    src = str(CORPUS.parent / "src")
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", script, str(CORPUS / "forwarder.ssp")],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+    # variables in order of first appearance in the constraints
+    assert list(json.loads(outs[0])["evidence"]["assignment"]) == ["be", "ga", "de", "al"]
 
 
 def test_solve_minimal_assignment():

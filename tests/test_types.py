@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sessprog import sestypes
 from sessprog.gen import gen_type
 from sessprog.sestypes import (
     CannotUnfold,
+    DepthExceeded,
     NoAction,
     UnboundTypeVar,
     capability,
@@ -125,6 +127,39 @@ def test_counterexample_pair_fails_at_finite_indices():
     t = T("![al,be] int . rec[inf]t. ![al,be] int . t")
     s = T("rec[inf]t. ?[be,al] int . t")
     assert dual_full(t, s)
+
+
+def test_counterexample_family_is_decided_at_every_index_up_to_200():
+    # a search that re-enters the pairs it has failed on runs out of its
+    # pair budget here from n = 12 on
+    for n in range(201):
+        t = T(f"![al,be] int . rec[{n}]t. ![al,be] int . t")
+        s = T(f"rec[{n}]t. ?[be,al] int . t")
+        assert not dual_full(t, s)
+
+
+def test_dual_full_enters_each_pair_once_and_unfolds_on_demand(monkeypatch):
+    entered, unfolded = [], []
+    premises, unfold_ = sestypes._premises, sestypes.unfold
+    monkeypatch.setattr(sestypes, "_premises", lambda pair: entered.append(pair) or premises(pair))
+    monkeypatch.setattr(sestypes, "unfold", lambda t: unfolded.append(t) or unfold_(t))
+    t = T("![al,be] int . rec[12]t. ![al,be] int . t")
+    assert not dual_full(t, T("rec[12]t. ?[be,al] int . t"))
+    keys = [sestypes._pair_key(pair) for pair in entered]
+    assert len(keys) == len(set(keys)) > 12
+    entered.clear(), unfolded.clear()
+    t = T("rec[inf]t. ?[al,be] int . rec[2]s. ![ga,de] end . s")
+    assert dual_full(t, syntactic_dual(t))
+    assert unfolded == [] and len(entered) == 5  # one structural premise per constructor
+
+
+def test_dual_full_pair_budget_still_fires(monkeypatch):
+    t = T("rec[inf]x. " + "![a,b] int . " * 30 + "x")
+    s = T("rec[inf]y. " + "?[b,a] int . " * 31 + "y")
+    assert dual_full(t, s)  # 930 distinct pairs
+    monkeypatch.setattr(sestypes, "DUAL_PAIR_BUDGET", 100)
+    with pytest.raises(DepthExceeded, match="more than 100 type pairs"):
+        dual_full(t, s)
 
 
 @settings(max_examples=80, deadline=None)
