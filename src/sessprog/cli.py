@@ -52,6 +52,13 @@ def _natural(s: str) -> int:
     return n
 
 
+def _positive(s: str) -> int:
+    n = int(s)
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"{s} is not a positive integer")
+    return n
+
+
 def _index_arg(s: str):
     return INF if s == "inf" else _natural(s)
 
@@ -214,12 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="one seeded pseudo-random trace")
     common(sp)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-steps", type=int, default=1000)
+    sp.add_argument("--max-steps", type=_natural, default=1000)
 
     sp = sub.add_parser("explore", help="reachable-set statistics")
     common(sp)
     sp.add_argument("--approx", type=_natural, default=2)
-    sp.add_argument("--max-states", type=int, default=100_000)
+    sp.add_argument("--max-states", type=_positive, default=100_000)
 
     sp = sub.add_parser("progress", help="static progress verification")
     common(sp)
@@ -227,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="dynamic progress oracle on a finite approximant")
     common(sp)
     sp.add_argument("--approx", type=_natural, default=2)
-    sp.add_argument("--max-states", type=int, default=100_000)
+    sp.add_argument("--max-states", type=_positive, default=100_000)
 
     sp = sub.add_parser("measure", help="termination measure E and V table")
     common(sp)

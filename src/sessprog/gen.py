@@ -32,7 +32,7 @@ from .syntax import (
     TRec,
     TypeVar,
     Var,
-    map_proc,
+    rewrite,
 )
 
 _uid = itertools.count()
@@ -233,7 +233,7 @@ def gen_user(rng: random.Random, depth: int = 6) -> Process:
     def to_user(q, env):
         return (replace(q, index=INF) if isinstance(q, Rec) else q), env
 
-    return map_proc(to_user, p)
+    return rewrite(to_user, p)
 
 
 def gen_subst_pair(rng: random.Random, depth: int = 4):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .semantics import CanonState, RedexLabel, canonicalize, reachable
-from .syntax import INF, Idle, Input, Output, Par, Process, ProcVar, Rec, children, subterms
+from .syntax import INF, Input, Output, Par, Process, ProcVar, Rec, fold, subterms
 
 
 class InfiniteIndex(Exception):
@@ -26,37 +26,31 @@ def _geom_sum(v: int, n: int) -> int:
 
 def _measures(p: Process) -> tuple[int, dict]:
     """E of ``p`` and V of each free process variable of ``p`` (absent
-    means 0), in one bottom-up walk without recursion.  Prefixes count 1
-    and parallel composition adds; a recursion of index n pays for n
-    unfoldings of a body that may itself multiply, so it scales the E
-    and the V of its body by the geometric sum of its own V."""
-    order, todo = [], [p]
-    while todo:
-        q = todo.pop()
-        order.append(q)
-        todo += children(q)
-    es, vs = [], []  # E and V (None: no variables) of finished subterms
-    for q in reversed(order):  # every subterm after its children
+    means 0), in one bottom-up fold.  Prefixes count 1 and parallel
+    composition adds; a recursion of index n pays for n unfoldings of a
+    body that may itself multiply, so it scales the E and the V of its
+    body by the geometric sum of its own V."""
+
+    def at(q, body=(0, None), right=None):  # (E, V or None: no variables)
         t = type(q)
         if t is Input or t is Output:
-            es[-1] += 1
-        elif t is Par:
-            e, v = es.pop(), vs.pop()
-            es[-1] += e
-            w = vs[-1]
-            vs[-1] = {**v, **{x: n + v.get(x, 0) for x, n in w.items()}} if v and w else v or w
-        elif t is Idle or t is ProcVar:
-            es.append(0)
-            vs.append({q.ident: 1} if t is ProcVar else None)
-        elif t is Rec:
+            return body[0] + 1, body[1]
+        if t is Par:
+            (e, w), (e2, v) = body, right
+            return e + e2, {**v, **{x: n + v.get(x, 0) for x, n in w.items()}} if v and w else v or w
+        if t is ProcVar:
+            return 0, {q.ident: 1}
+        if t is Rec:
             if q.index == INF:  # name the outermost one
                 q = next(r for r in subterms(p) if isinstance(r, Rec) and r.index == INF)
                 raise InfiniteIndex(f"rec[inf] {q.var}")
-            v = vs[-1] or {}
+            e, v = body[0], body[1] or {}
             g = _geom_sum(v.get(q.var, 0), q.index)
-            es[-1] = (1 + es[-1]) * g
-            vs[-1] = {x: n * g for x, n in v.items() if x != q.var}
-    return es[0], vs[0] or {}
+            return (1 + e) * g, {x: n * g for x, n in v.items() if x != q.var}
+        return body  # idle, new
+
+    e, v = fold(at, p)
+    return e, v or {}
 
 
 def vcount(p: Process, x: str) -> int:

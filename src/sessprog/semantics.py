@@ -11,7 +11,6 @@ structural congruence on the hoisted fragment.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 from .sestypes import type_key
@@ -33,18 +32,15 @@ from .syntax import (
     children,
     co,
     freshen,
-    map_proc,
-    map_type,
     map_values,
     name_str,
     pretty_proc,
     rebind,
     rename_value,
+    rewrite,
     subst_name,
     subst_proc,
     subterms,
-    type_children,
-    type_with_children,
     with_children,
 )
 
@@ -84,11 +80,12 @@ class CanonState:
 
 def _serialize(p: Process) -> list:
     """The serialization of a sequential term as a list of pieces, with
-    binders numbered in traversal order.  Each endpoint is a slot
-    ``(channel, polarity, text, free)`` whose text is its binder's token
-    or ``'channel``; ``_make_state`` gives restricted channels numbers."""
+    binders numbered in preorder.  Each endpoint is a slot ``(channel,
+    polarity, text, free)`` whose text is its binder's token or
+    ``'channel``; ``_make_state`` gives restricted channels numbers."""
     out: list = []
-    counter = itertools.count()
+    binders = 0
+    todo: list = [(p, {})]  # text pieces and (subterm, scope), last first
 
     def name(v, env):
         if isinstance(v, Endpoint):
@@ -100,25 +97,28 @@ def _serialize(p: Process) -> list:
         else:
             out.append(str(v))
 
-    def go(q, env):
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        q, env = item
         if isinstance(q, Idle):
             out.append("0")
         elif isinstance(q, ProcVar):
             out.append(env.get(("p", q.ident), f"'{q.ident}"))
         elif isinstance(q, Par):
             out.append("(")
-            go(q.left, env)
-            out.append("|")
-            go(q.right, env)
-            out.append(")")
+            todo += (")", (q.right, env), "|", (q.left, env))
         elif isinstance(q, Output):
             name(q.subject, env)
             out.append("!")
             name(q.payload, env)
             out.append(".")
-            go(q.body, env)
+            todo.append((q.body, env))
         else:  # a binder
-            tok = f"%{next(counter)}"
+            tok = f"%{binders}"
+            binders += 1
             if isinstance(q, Input):
                 name(q.subject, env)
                 bound, text = ("v", q.binder), f"?({tok})."
@@ -130,9 +130,7 @@ def _serialize(p: Process) -> list:
             else:
                 bound, text = ("p", q.var), f"rec[{q.index}]{tok}."
             out.append(text)
-            go(q.body, {**env, bound: tok})
-
-    go(p, {})
+            todo.append((q.body, {**env, bound: tok}))
     return out
 
 
@@ -221,48 +219,41 @@ def approximant(p: Process, iota) -> Process:
             q = replace(q, pos_type=pos_t, neg_type=neg_t)
         return q, env
 
-    return map_proc(go, p)
+    return rewrite(go, p)
+
+
+def _approximant_at(u, iota):
+    if isinstance(u, TRec) and u.index == INF:
+        u = TRec(iota, u.var, u.body)
+    return u, iota
 
 
 def approximant_type(t: SessionType | None, iota) -> SessionType | None:
     """``t`` with every infinite recursion index replaced by ``iota``; a
     missing annotation (None) has no subterms and stays None."""
-    if isinstance(t, TRec) and t.index == INF:
-        t = TRec(iota, t.var, t.body)
-    return map_type(approximant_type, t, iota)
+    return rewrite(_approximant_at, t, iota)
 
 
-def approx_leq(p: Process, q: Process) -> bool:
-    """The approximation preorder: structural identity except recursion
-    indices, pointwise smaller on the left."""
-    # node kinds fix the arity, so matching kinds in preorder mean equal shapes
-    return all(map(_node_leq, subterms(p), subterms(q)))
-
-
-def _node_leq(p: Process, q: Process) -> bool:
-    if type(p) is not type(q):
-        return False
-    if isinstance(p, Rec):
-        return p.index <= q.index and p.var == q.var
-    if isinstance(p, New):
-        return (
-            p.channel == q.channel
-            and approx_leq_type(p.pos_type, q.pos_type)
-            and approx_leq_type(p.neg_type, q.neg_type)
-        )
-    return with_children(p, children(q)) == q  # every other field equal
-
-
-def approx_leq_type(t: SessionType | None, s: SessionType | None) -> bool:
-    """The approximation preorder on types; a missing annotation (None)
-    is related to None only."""
-    if type(t) is not type(s):
-        return False
-    if isinstance(t, TRec):
-        head = t.index <= s.index and t.var == s.var
-    else:
-        head = type_with_children(t, type_children(s)) == s
-    return head and all(map(approx_leq_type, type_children(t), type_children(s)))
+def approx_leq(p, q) -> bool:
+    """The approximation preorder on processes and on types: structural
+    identity except recursion indices, pointwise smaller on the left.  A
+    missing annotation (None) is related to None only."""
+    todo = [(p, q)]
+    while todo:
+        p, q = todo.pop()
+        if type(p) is not type(q):
+            return False
+        if isinstance(p, (Rec, TRec)):
+            if not (p.index <= q.index and p.var == q.var):
+                return False
+        elif isinstance(p, New):
+            if p.channel != q.channel:
+                return False
+            todo += ((p.pos_type, q.pos_type), (p.neg_type, q.neg_type))
+        elif with_children(p, children(q)) != q:  # every other field equal
+            return False
+        todo += zip(children(p), children(q))
+    return True
 
 
 def _rename_clashing_news(p: Process, seen: set) -> Process:
@@ -277,7 +268,7 @@ def _rename_clashing_news(p: Process, seen: set) -> Process:
             q, cenv = rebind(q, "channel", cenv, seen)
         return q, cenv
 
-    return map_proc(go, p, {})
+    return rewrite(go, p, {})
 
 
 def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:

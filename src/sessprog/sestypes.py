@@ -54,31 +54,28 @@ class Violation:
 def well_formed(t: SessionType, allow_free=()) -> tuple[bool, Violation | None]:
     """Check contractivity (no rec t1..rec tn.t1 chains), stratification
     (payload types closed) and that free type variables are declared."""
-
-    def go(u, bound):
-        if isinstance(u, (End, Base)):
-            return None
+    todo = [(t, frozenset())]  # subterms to check, each with its bound variables
+    while todo:
+        u, bound = todo.pop()
         if isinstance(u, TypeVar):
             if u.ident not in bound and u.ident not in allow_free:
-                return Violation("unbound type variable", u)
-            return None
-        if isinstance(u, (TIn, TOut)):
+                return False, Violation("unbound type variable", u)
+        elif isinstance(u, (TIn, TOut)):
             if free_type_vars(u.payload):
-                return Violation("payload type is not closed", u.payload)
-            return go(u.payload, frozenset()) or go(u.cont, bound)
-        if isinstance(u, TRec):
+                return False, Violation("payload type is not closed", u.payload)
+            todo += ((u.cont, bound), (u.payload, frozenset()))
+        elif isinstance(u, TRec):
             chain = {u.var}
             body = u.body
             while isinstance(body, TRec):
                 chain.add(body.var)
                 body = body.body
             if isinstance(body, TypeVar) and body.ident in chain:
-                return Violation("type is not contractive", u)
-            return go(u.body, bound | {u.var})
-        raise TypeError(u)
-
-    v = go(t, frozenset())
-    return (v is None, v)
+                return False, Violation("type is not contractive", u)
+            todo.append((u.body, bound | {u.var}))
+        elif not isinstance(u, (End, Base)):
+            raise TypeError(u)
+    return True, None
 
 
 def unfold(t: SessionType) -> SessionType:
@@ -95,6 +92,8 @@ def obligation(sigma: dict, t: SessionType):
     """Urgency with which a value of type ``t`` must be used: INF for end
     and base types, the environment entry for a type variable, the first
     annotation of a prefix, and the body's obligation for a recursion."""
+    while isinstance(t, TRec):  # ends because session types are contractive
+        t = t.body
     if isinstance(t, (End, Base)):
         return INF
     if isinstance(t, TypeVar):
@@ -103,58 +102,60 @@ def obligation(sigma: dict, t: SessionType):
         return sigma[t.ident]
     if isinstance(t, (TIn, TOut)):
         return t.obl
-    if isinstance(t, TRec):
-        # well defined because session types are contractive
-        return obligation(sigma, t.body)
     raise TypeError(t)
 
 
 def capability(t: SessionType):
     """Capability of the topmost action; NoAction on end/type variables."""
+    while isinstance(t, TRec):
+        t = t.body
     if isinstance(t, (TIn, TOut)):
         return t.cap
-    if isinstance(t, TRec):
-        return capability(t.body)
     raise NoAction(pretty_type(t))
 
 
 def syntactic_dual(t: SessionType) -> SessionType:
     """Swap inputs with outputs and each priority pair; the result is
     strictly dual to ``t``."""
-    if isinstance(t, (End, Base, TypeVar)):
-        return t
-    if isinstance(t, TIn):
-        return TOut(t.cap, t.obl, t.payload, syntactic_dual(t.cont))
-    if isinstance(t, TOut):
-        return TIn(t.cap, t.obl, t.payload, syntactic_dual(t.cont))
-    if isinstance(t, TRec):
-        return TRec(t.index, t.var, syntactic_dual(t.body))
-    raise TypeError(t)
+    spine = []
+    while isinstance(t, (TIn, TOut, TRec)):
+        spine.append(t)
+        t = t.body if isinstance(t, TRec) else t.cont
+    for u in reversed(spine):
+        if isinstance(u, TRec):
+            t = TRec(u.index, u.var, t)
+        else:
+            t = (TOut if isinstance(u, TIn) else TIn)(u.cap, u.obl, u.payload, t)
+    return t
 
 
 def type_key(t: SessionType, env=None, depth=0) -> str:
     """Serialization with rec binders de-Bruijn-leveled; equal keys mean
     alpha-equal types."""
-    if env is None:
-        env = {}
-    if isinstance(t, End):
-        return "end"
-    if isinstance(t, Base):
-        return t.kind
-    if isinstance(t, TypeVar):
-        return env.get(t.ident, f"'{t.ident}")
-    if isinstance(t, (TIn, TOut)):
-        op = "?" if isinstance(t, TIn) else "!"
-        return (
-            f"{op}[{t.obl},{t.cap}]"
-            f"({type_key(t.payload, {}, 0)}).{type_key(t.cont, env, depth)}"
-        )
-    if isinstance(t, TRec):
-        return (
-            f"rec[{t.index}]@{depth}."
-            f"{type_key(t.body, {**env, t.var: f'@{depth}'}, depth + 1)}"
-        )
-    raise TypeError(t)
+    out: list = []
+    conts: list = []  # continuations still to serialize, innermost last
+    env = env or {}
+    while True:
+        c = type(t)
+        if c is TIn or c is TOut:
+            out.append(f"{'?' if c is TIn else '!'}[{t.obl},{t.cap}](")
+            conts.append((t.cont, env, depth))
+            t, env, depth = t.payload, {}, 0
+        elif c is TRec:
+            out.append(f"rec[{t.index}]@{depth}.")
+            env = {**env, t.var: f"@{depth}"}
+            t, depth = t.body, depth + 1
+        else:
+            if c is TypeVar:
+                out.append(env.get(t.ident, f"'{t.ident}"))
+            elif c is End or c is Base:
+                out.append("end" if c is End else t.kind)
+            else:
+                raise TypeError(t)
+            if not conts:
+                return "".join(out)
+            out.append(").")
+            t, env, depth = conts.pop()
 
 
 def type_eq(t: SessionType, s: SessionType) -> bool:

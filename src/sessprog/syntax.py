@@ -183,66 +183,114 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Traversal kernel: structural maps, folds and binder-aware renames are
-# written on these.  The hot folds free_names, free_proc_vars and
-# all_idents keep their own dispatch, which is faster per call.
+# Traversal kernel, one for processes and session types: every structural
+# map, fold and binder-aware rename is written on these, and none recurses.
+
+_WITH_BODY = frozenset({Input, Output, New, Rec, TRec})
 
 
-def children(p: Process) -> tuple:
-    """The immediate subprocesses of ``p``, left to right."""
-    if isinstance(p, Par):
-        return (p.left, p.right)
-    if isinstance(p, (Idle, ProcVar)):
-        return ()
-    return (p.body,)
+def children(x) -> tuple:
+    """The immediate subterms of a process or a session type, left to
+    right: both sides of a ``|``, the payload and continuation of a
+    prefix type, and the body of any other node that has one."""
+    t = type(x)
+    if t is Par:
+        return (x.left, x.right)
+    if t is TIn or t is TOut:
+        return (x.payload, x.cont)
+    return (x.body,) if t in _WITH_BODY else ()
 
 
-def with_children(p: Process, kids) -> Process:
-    """``p`` with its immediate subprocesses replaced by ``kids``; ``p``
+def with_children(x, kids):
+    """``x`` with its immediate subterms replaced by ``kids``; ``x``
     itself when every child is unchanged."""
-    if isinstance(p, Par):
+    t = type(x)
+    if t is Par:
         left, right = kids
-        return p if left is p.left and right is p.right else Par(left, right, p.pos)
-    if isinstance(p, (Idle, ProcVar)):
-        return p
-    (body,) = kids
-    return p if body is p.body else replace(p, body=body)
+        return x if left is x.left and right is x.right else Par(left, right, x.pos)
+    if t is TIn or t is TOut:
+        payload, cont = kids
+        return x if payload is x.payload and cont is x.cont else t(x.obl, x.cap, payload, cont)
+    if t in _WITH_BODY:
+        (body,) = kids
+        return x if body is x.body else replace(x, body=body)
+    return x
 
 
-def subterms(p: Process):
-    """``p`` and all its subprocesses in preorder, left before right;
-    iterative, so arbitrarily deep terms do not hit the recursion limit."""
-    stack = [p]
+def subterms(x):
+    """``x`` and all its subterms in preorder, left before right."""
+    stack = [x]
     while stack:
-        q = stack.pop()
-        yield q
-        stack.extend(reversed(children(q)))
+        y = stack.pop()
+        yield y
+        t = type(y)
+        if t is Par:
+            stack += (y.right, y.left)
+        elif t is TIn or t is TOut:
+            stack += (y.cont, y.payload)
+        elif t in _WITH_BODY:
+            stack.append(y.body)
+
+
+def fold(f, x):
+    """Fold a process or a session type bottom-up: ``f(y, *vals)`` gets
+    each subterm ``y`` with the values of its children, left to right,
+    and returns the value of ``y``."""
+    order, todo = [], [x]
+    while todo:  # preorder, right before left
+        y = todo.pop()
+        while True:
+            order.append(y)
+            t = type(y)
+            if t is Par:
+                todo.append(y.left)
+                y = y.right
+            elif t is TIn or t is TOut:
+                todo.append(y.payload)
+                y = y.cont
+            elif t in _WITH_BODY:
+                y = y.body
+            else:
+                break
+    vals: list = []
+    for y in reversed(order):  # every subterm after its children
+        t = type(y)
+        if t is Par or t is TIn or t is TOut:
+            right = vals.pop()
+            vals[-1] = f(y, vals[-1], right)
+        elif t in _WITH_BODY:
+            vals[-1] = f(y, vals[-1])
+        else:
+            vals.append(f(y))
+    return vals[0]
 
 
 _REBUILD = object()
 
 
-def map_proc(f, p: Process, env=()) -> Process:
-    """Rewrite ``p`` top-down without recursion.  ``f(q, env)`` returns
-    ``(q2, env2)``: ``q2`` takes the place of ``q``, and its children are
-    rewritten in turn under ``env2``, or left as they are when ``env2``
-    is None.  Nodes are visited in preorder, left before right, and a
-    node whose children did not change is kept as it is."""
+def rewrite(f, x, env=()):
+    """Rewrite a process or a session type top-down.  ``f(y, env)``
+    returns ``(y2, env2)``: ``y2`` takes the place of ``y``, and its
+    children are rewritten in turn under ``env2``, or left as they are
+    when ``env2`` is None.  Nodes are visited in preorder, left before
+    right, and a node whose children did not change is kept as it is."""
     out: list = []
-    todo = [(p, env)]
+    todo = [(x, env)]
     while todo:
-        q, e = todo.pop()
+        y, e = todo.pop()
         if e is _REBUILD:
-            k = -2 if isinstance(q, Par) else -1
-            out[k:] = [with_children(q, out[k:])]
+            k = -1 if type(y) in _WITH_BODY else -2
+            out[k:] = [with_children(y, out[k:])]
+            continue
+        y, e = f(y, e)
+        t = type(y)
+        if e is not None and t in _WITH_BODY:
+            todo += ((y, _REBUILD), (y.body, e))
+        elif e is not None and (t is Par or t is TIn or t is TOut):
+            first, second = children(y)
+            todo += ((y, _REBUILD), (second, e), (first, e))
         else:
-            q, e = f(q, e)
-            if e is None or isinstance(q, (Idle, ProcVar)):
-                out.append(q)
-            elif isinstance(q, Par):
-                todo += ((q, _REBUILD), (q.right, e), (q.left, e))
-            else:
-                todo += ((q, _REBUILD), (q.body, e))
+            out.append(y)
     return out[0]
 
 
@@ -258,37 +306,22 @@ def map_values(f, p: Process, *args) -> Process:
     return p
 
 
-def type_children(t: SessionType) -> tuple:
-    """The immediate subterms of a session type: payload and continuation
-    of a prefix, the body of a recursion."""
-    if isinstance(t, (TIn, TOut)):
-        return (t.payload, t.cont)
-    if isinstance(t, TRec):
-        return (t.body,)
-    return ()
-
-
-def type_with_children(t: SessionType, kids) -> SessionType:
-    """``t`` with its immediate subterms replaced; ``t`` itself when every
-    child is unchanged."""
-    if isinstance(t, (TIn, TOut)):
-        payload, cont = kids
-        if payload is t.payload and cont is t.cont:
-            return t
-        return type(t)(t.obl, t.cap, payload, cont)
-    if isinstance(t, TRec):
-        (body,) = kids
-        return t if body is t.body else TRec(t.index, t.var, body)
-    return t
-
-
-def map_type(f, t: SessionType, *args) -> SessionType:
-    """``t`` with each immediate subterm ``c`` replaced by ``f(c, *args)``."""
-    return type_with_children(t, [f(c, *args) for c in type_children(t)])
-
-
 # ---------------------------------------------------------------------------
 # Free names / variables
+
+
+def _free_names_at(q, body=frozenset(), right=frozenset()) -> frozenset:
+    t = type(q)
+    if t is Input:
+        body -= {Var(q.binder)}
+        return body if isinstance(q.subject, int) else body | {q.subject}
+    if t is Output:
+        return body | {v for v in (q.subject, q.payload) if not isinstance(v, int)}
+    if t is Par:
+        return body | right
+    if t is New:
+        return body - {Endpoint(q.channel, "+"), Endpoint(q.channel, "-")}
+    return body  # idle and process variables have none, recursion binds none
 
 
 def free_names(p: Process) -> frozenset:
@@ -297,47 +330,30 @@ def free_names(p: Process) -> frozenset:
     Input binds its variable, ``new a`` binds both endpoints a+ and a-,
     recursion binds a process variable only (never names).
     """
-    if isinstance(p, (Idle, ProcVar)):
-        return frozenset()
-    if isinstance(p, Input):
-        sub = frozenset() if isinstance(p.subject, int) else frozenset([p.subject])
-        return sub | (free_names(p.body) - {Var(p.binder)})
-    if isinstance(p, Output):
-        s = set()
-        if not isinstance(p.subject, int):
-            s.add(p.subject)
-        if not isinstance(p.payload, int):
-            s.add(p.payload)
-        return frozenset(s) | free_names(p.body)
-    if isinstance(p, Par):
-        return free_names(p.left) | free_names(p.right)
-    if isinstance(p, New):
-        bound = {Endpoint(p.channel, "+"), Endpoint(p.channel, "-")}
-        return free_names(p.body) - bound
-    if isinstance(p, Rec):
-        return free_names(p.body)
-    raise TypeError(p)
+    return fold(_free_names_at, p)
+
+
+def _free_proc_vars_at(q, body=frozenset(), right=frozenset()) -> frozenset:
+    t = type(q)
+    if t is Par:
+        return body | right
+    if t is ProcVar:
+        return frozenset([q.ident])
+    return body - {q.var} if t is Rec else body
 
 
 def free_proc_vars(p: Process) -> frozenset:
-    if isinstance(p, Idle):
-        return frozenset()
-    if isinstance(p, ProcVar):
-        return frozenset([p.ident])
-    if isinstance(p, (Input, Output, New)):
-        return free_proc_vars(p.body)
-    if isinstance(p, Par):
-        return free_proc_vars(p.left) | free_proc_vars(p.right)
-    if isinstance(p, Rec):
-        return free_proc_vars(p.body) - {p.var}
-    raise TypeError(p)
+    return fold(_free_proc_vars_at, p)
+
+
+def _free_type_vars_at(u, first=frozenset(), second=frozenset()) -> frozenset:
+    if isinstance(u, TypeVar):
+        return frozenset([u.ident])
+    return first - {u.var} if isinstance(u, TRec) else first | second
 
 
 def free_type_vars(t: SessionType) -> frozenset:
-    if isinstance(t, TypeVar):
-        return frozenset([t.ident])
-    fv = frozenset().union(*map(free_type_vars, type_children(t)))
-    return fv - {t.var} if isinstance(t, TRec) else fv
+    return fold(_free_type_vars_at, t)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +388,7 @@ def subst_name(p: Process, target: str, repl) -> Process | None:
         return q2, capturing
 
     try:
-        return map_proc(go, p, False)
+        return rewrite(go, p, False)
     except _Undefined:
         return None
 
@@ -404,64 +420,40 @@ def subst_proc(p: Process, target: str, q: Process) -> Process | None:
         return r, capturing
 
     try:
-        return map_proc(go, p, False)
+        return rewrite(go, p, False)
     except _Undefined:
         return None
 
 
 def subst_type_var(t: SessionType, target: str, s: SessionType) -> SessionType:
     """Capture-avoiding substitution of type ``s`` for free occurrences of
-    the type variable ``target``; shadowed binders are renamed on demand."""
-    if isinstance(t, TypeVar):
-        return s if t.ident == target else t
-    if isinstance(t, TRec):
-        if t.var == target:
-            return t
-        if t.var in free_type_vars(s) and target in free_type_vars(t.body):
-            fresh = t.var
-            taken = free_type_vars(s) | free_type_vars(t.body)
-            k = 0
-            while fresh in taken:
-                k += 1
-                fresh = f"{t.var}{k}"
-            body = subst_type_var(t.body, t.var, TypeVar(fresh))
-            return TRec(t.index, fresh, subst_type_var(body, target, s))
-    return map_type(subst_type_var, t, target, s)
+    the type variable ``target``; shadowed binders are renamed on demand,
+    in the same pass."""
+
+    def go(u, env):  # env: type variable -> (replacement, its free variables)
+        if isinstance(u, TypeVar):
+            return env.get(u.ident, (u,))[0], None
+        if isinstance(u, TRec):
+            env = {x: r for x, r in env.items() if x != u.var}
+            if not env:
+                return u, None
+            if any(u.var in fv for _r, fv in env.values()):
+                body_fv = free_type_vars(u.body)
+                brought = frozenset().union(*(fv for x, (_r, fv) in env.items() if x in body_fv))
+                if u.var in brought:  # rename the binder to keep what is brought in free
+                    fresh, k = u.var, 0
+                    while fresh in brought or fresh in body_fv:
+                        k += 1
+                        fresh = f"{u.var}{k}"
+                    env[u.var] = (TypeVar(fresh), {fresh})
+                    u = TRec(u.index, fresh, u.body)
+        return u, env
+
+    return rewrite(go, t, {target: (s, free_type_vars(s))})
 
 
 # ---------------------------------------------------------------------------
 # Freshening
-
-def _all_idents(p: Process, acc: set):
-    if isinstance(p, Idle):
-        return
-    if isinstance(p, ProcVar):
-        acc.add(p.ident)
-        return
-    if isinstance(p, Input):
-        _ident_of(p.subject, acc)
-        acc.add(p.binder)
-        _all_idents(p.body, acc)
-        return
-    if isinstance(p, Output):
-        _ident_of(p.subject, acc)
-        _ident_of(p.payload, acc)
-        _all_idents(p.body, acc)
-        return
-    if isinstance(p, Par):
-        _all_idents(p.left, acc)
-        _all_idents(p.right, acc)
-        return
-    if isinstance(p, New):
-        acc.add(p.channel)
-        _all_idents(p.body, acc)
-        return
-    if isinstance(p, Rec):
-        acc.add(p.var)
-        _all_idents(p.body, acc)
-        return
-    raise TypeError(p)
-
 
 def _ident_of(v, acc: set):
     if isinstance(v, Var):
@@ -472,7 +464,20 @@ def _ident_of(v, acc: set):
 
 def all_idents(p: Process) -> set:
     acc: set = set()
-    _all_idents(p, acc)
+    for q in subterms(p):
+        t = type(q)
+        if t is Input:
+            _ident_of(q.subject, acc)
+            acc.add(q.binder)
+        elif t is Output:
+            _ident_of(q.subject, acc)
+            _ident_of(q.payload, acc)
+        elif t is New:
+            acc.add(q.channel)
+        elif t is Rec:
+            acc.add(q.var)
+        elif t is ProcVar:
+            acc.add(q.ident)
     return acc
 
 
@@ -524,7 +529,7 @@ def freshen(p: Process, reserved=()) -> Process:
             q, penv = rebind(q, "var", penv, seen)
         return q, (venv, cenv, penv)
 
-    return map_proc(go, p, ({}, {}, {}))
+    return rewrite(go, p, ({}, {}, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -532,54 +537,55 @@ def freshen(p: Process, reserved=()) -> Process:
 
 
 def pretty_proc(p: Process) -> str:
-    if isinstance(p, Idle):
-        return "0"
-    if isinstance(p, ProcVar):
-        return p.ident
-    if isinstance(p, Input):
-        return f"{name_str(p.subject)}?({p.binder}).{_body(p.body)}"
-    if isinstance(p, Output):
-        return f"{name_str(p.subject)}!{name_str(p.payload)}.{_body(p.body)}"
-    if isinstance(p, Par):
-        left = pretty_proc(p.left)
-        if isinstance(p.left, Par):
-            left = f"({left})"
-        return f"{left} | {pretty_proc(p.right)}"
-    if isinstance(p, New):
-        ann = ""
-        if p.pos_type is not None:
-            ann = f" : {pretty_type(p.pos_type)}"
-            if p.neg_type is not None:
-                ann += f" ~ {pretty_type(p.neg_type)}"
-        return f"new {p.channel}{ann}.{_body(p.body)}"
-    if isinstance(p, Rec):
-        return f"rec[{pri_str(p.index)}] {p.var}.{_body(p.body)}"
-    raise TypeError(p)
-
-
-def _body(p: Process) -> str:
-    s = pretty_proc(p)
-    if isinstance(p, Par):
-        return f"({s})"
-    return s
+    out: list = []
+    todo: list = [p]  # text pieces and subterms still to print, last first
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Par):
+            todo += (q.right, " | ")
+        elif isinstance(q, Input):
+            out.append(f"{name_str(q.subject)}?({q.binder}).")
+        elif isinstance(q, Output):
+            out.append(f"{name_str(q.subject)}!{name_str(q.payload)}.")
+        elif isinstance(q, New):
+            ann = ""
+            if q.pos_type is not None:
+                ann = f" : {pretty_type(q.pos_type)}"
+                if q.neg_type is not None:
+                    ann += f" ~ {pretty_type(q.neg_type)}"
+            out.append(f"new {q.channel}{ann}.")
+        elif isinstance(q, Rec):
+            out.append(f"rec[{pri_str(q.index)}] {q.var}.")
+        else:  # a text piece, the idle process or a process variable
+            out.append(q if type(q) is str else "0" if isinstance(q, Idle) else q.ident)
+            continue
+        # a | on the left of a | or as the body of a prefix is parenthesised
+        body = q.left if isinstance(q, Par) else q.body
+        todo += (")", body, "(") if isinstance(body, Par) else (body,)
+    return "".join(out)
 
 
 def pretty_type(t: SessionType) -> str:
-    if isinstance(t, End):
-        return "end"
-    if isinstance(t, Base):
-        return t.kind
-    if isinstance(t, TypeVar):
-        return t.ident
-    if isinstance(t, (TIn, TOut)):
-        op = "?" if isinstance(t, TIn) else "!"
-        pay = pretty_type(t.payload)
-        if isinstance(t.payload, (TIn, TOut, TRec)):
-            pay = f"({pay})"
-        return f"{op}[{pri_str(t.obl)},{pri_str(t.cap)}] {pay} . {pretty_type(t.cont)}"
-    if isinstance(t, TRec):
-        return f"rec[{pri_str(t.index)}] {t.var}. {pretty_type(t.body)}"
-    raise TypeError(t)
+    out: list = []
+    conts: list = []  # continuations still to print, each with the text before it
+    while True:
+        if isinstance(t, (TIn, TOut)):
+            nested = isinstance(t.payload, (TIn, TOut, TRec))
+            op = "?" if isinstance(t, TIn) else "!"
+            out.append(f"{op}[{pri_str(t.obl)},{pri_str(t.cap)}] {'(' if nested else ''}")
+            conts.append((t.cont, ") . " if nested else " . "))
+            t = t.payload
+        elif isinstance(t, TRec):
+            out.append(f"rec[{pri_str(t.index)}] {t.var}. ")
+            t = t.body
+        else:
+            if not isinstance(t, (End, Base, TypeVar)):
+                raise TypeError(t)
+            out.append("end" if isinstance(t, End) else t.kind if isinstance(t, Base) else t.ident)
+            if not conts:
+                return "".join(out)
+            t, text = conts.pop()
+            out.append(text)
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,35 @@ were before they shared one structural rule: ``dual_full`` is a
 backtracking search that forgets the pairs it has failed on, and it
 counts every pair it re-enters against ``DUAL_PAIR_BUDGET``.
 
+Last, the recursive folds, printers and type operations as they were
+before the iterative folds of the kernel: ``free_names``,
+``free_proc_vars``, ``all_idents``, ``free_type_vars``,
+``subst_type_var``, ``pretty_proc``, ``pretty_type``, ``obligation``,
+``capability``, ``syntactic_dual``, ``type_key``, ``well_formed`` and
+the one-walk ``_serialize``.  Every reference here uses these and no
+library walker, so the two sides stay independent.
+
 Test-only reference: ``tests/test_differential.py`` demands that the
-kernel versions give byte-identical keys, terms and verdicts, and
-equal measures, and identical duality verdicts and mismatch paths
+kernel versions give byte-identical keys, terms, texts and verdicts,
+and equal measures, and identical duality verdicts and mismatch paths
 wherever the reference finishes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 from sessprog.measure import InfiniteIndex, _geom_sum
 from sessprog.semantics import CanonState, NotUserProcess
-from sessprog.sestypes import DUAL_PAIR_BUDGET, DepthExceeded, type_eq, type_key, unfold
+from sessprog.sestypes import (
+    DUAL_PAIR_BUDGET,
+    CannotUnfold,
+    DepthExceeded,
+    NoAction,
+    UnboundTypeVar,
+    Violation,
+)
 from sessprog.syntax import (
     INF,
     Base,
@@ -45,8 +61,8 @@ from sessprog.syntax import (
     TypeVar,
     Var,
     _ident_of,
-    free_names,
-    free_proc_vars,
+    name_str,
+    pri_str,
 )
 
 
@@ -599,3 +615,312 @@ def dual_full(t: SessionType, s: SessionType) -> bool:
         return False
 
     return try_pair(t, s, 0, {}, {}, frozenset(), set())
+
+
+def free_names(p: Process) -> frozenset:
+    if isinstance(p, (Idle, ProcVar)):
+        return frozenset()
+    if isinstance(p, Input):
+        sub = frozenset() if isinstance(p.subject, int) else frozenset([p.subject])
+        return sub | (free_names(p.body) - {Var(p.binder)})
+    if isinstance(p, Output):
+        s = set()
+        if not isinstance(p.subject, int):
+            s.add(p.subject)
+        if not isinstance(p.payload, int):
+            s.add(p.payload)
+        return frozenset(s) | free_names(p.body)
+    if isinstance(p, Par):
+        return free_names(p.left) | free_names(p.right)
+    if isinstance(p, New):
+        bound = {Endpoint(p.channel, "+"), Endpoint(p.channel, "-")}
+        return free_names(p.body) - bound
+    if isinstance(p, Rec):
+        return free_names(p.body)
+    raise TypeError(p)
+
+
+def free_proc_vars(p: Process) -> frozenset:
+    if isinstance(p, Idle):
+        return frozenset()
+    if isinstance(p, ProcVar):
+        return frozenset([p.ident])
+    if isinstance(p, (Input, Output, New)):
+        return free_proc_vars(p.body)
+    if isinstance(p, Par):
+        return free_proc_vars(p.left) | free_proc_vars(p.right)
+    if isinstance(p, Rec):
+        return free_proc_vars(p.body) - {p.var}
+    raise TypeError(p)
+
+
+def _all_idents(p: Process, acc: set):
+    if isinstance(p, Idle):
+        return
+    if isinstance(p, ProcVar):
+        acc.add(p.ident)
+        return
+    if isinstance(p, Input):
+        _ident_of(p.subject, acc)
+        acc.add(p.binder)
+        _all_idents(p.body, acc)
+        return
+    if isinstance(p, Output):
+        _ident_of(p.subject, acc)
+        _ident_of(p.payload, acc)
+        _all_idents(p.body, acc)
+        return
+    if isinstance(p, Par):
+        _all_idents(p.left, acc)
+        _all_idents(p.right, acc)
+        return
+    if isinstance(p, New):
+        acc.add(p.channel)
+        _all_idents(p.body, acc)
+        return
+    if isinstance(p, Rec):
+        acc.add(p.var)
+        _all_idents(p.body, acc)
+        return
+    raise TypeError(p)
+
+
+def all_idents(p: Process) -> set:
+    acc: set = set()
+    _all_idents(p, acc)
+    return acc
+
+
+def free_type_vars(t: SessionType) -> frozenset:
+    if isinstance(t, TypeVar):
+        return frozenset([t.ident])
+    if isinstance(t, (TIn, TOut)):
+        return free_type_vars(t.payload) | free_type_vars(t.cont)
+    if isinstance(t, TRec):
+        return free_type_vars(t.body) - {t.var}
+    return frozenset()
+
+
+def subst_type_var(t: SessionType, target: str, s: SessionType) -> SessionType:
+    if isinstance(t, TypeVar):
+        return s if t.ident == target else t
+    if isinstance(t, TRec):
+        if t.var == target:
+            return t
+        if t.var in free_type_vars(s) and target in free_type_vars(t.body):
+            fresh = t.var
+            taken = free_type_vars(s) | free_type_vars(t.body)
+            k = 0
+            while fresh in taken:
+                k += 1
+                fresh = f"{t.var}{k}"
+            body = subst_type_var(t.body, t.var, TypeVar(fresh))
+            return TRec(t.index, fresh, subst_type_var(body, target, s))
+        body = subst_type_var(t.body, target, s)
+        return t if body is t.body else TRec(t.index, t.var, body)
+    if isinstance(t, (TIn, TOut)):
+        payload = subst_type_var(t.payload, target, s)
+        cont = subst_type_var(t.cont, target, s)
+        if payload is t.payload and cont is t.cont:
+            return t
+        return type(t)(t.obl, t.cap, payload, cont)
+    return t
+
+
+def unfold(t: SessionType) -> SessionType:
+    if not isinstance(t, TRec):
+        raise CannotUnfold(f"not a recursive type: {pretty_type(t)}")
+    if t.index == 0:
+        raise CannotUnfold("index is zero")
+    return subst_type_var(t.body, t.var, TRec(t.index - 1, t.var, t.body))
+
+
+def pretty_proc(p: Process) -> str:
+    if isinstance(p, Idle):
+        return "0"
+    if isinstance(p, ProcVar):
+        return p.ident
+    if isinstance(p, Input):
+        return f"{name_str(p.subject)}?({p.binder}).{_body(p.body)}"
+    if isinstance(p, Output):
+        return f"{name_str(p.subject)}!{name_str(p.payload)}.{_body(p.body)}"
+    if isinstance(p, Par):
+        left = pretty_proc(p.left)
+        if isinstance(p.left, Par):
+            left = f"({left})"
+        return f"{left} | {pretty_proc(p.right)}"
+    if isinstance(p, New):
+        ann = ""
+        if p.pos_type is not None:
+            ann = f" : {pretty_type(p.pos_type)}"
+            if p.neg_type is not None:
+                ann += f" ~ {pretty_type(p.neg_type)}"
+        return f"new {p.channel}{ann}.{_body(p.body)}"
+    if isinstance(p, Rec):
+        return f"rec[{pri_str(p.index)}] {p.var}.{_body(p.body)}"
+    raise TypeError(p)
+
+
+def _body(p: Process) -> str:
+    s = pretty_proc(p)
+    if isinstance(p, Par):
+        return f"({s})"
+    return s
+
+
+def pretty_type(t: SessionType) -> str:
+    if isinstance(t, End):
+        return "end"
+    if isinstance(t, Base):
+        return t.kind
+    if isinstance(t, TypeVar):
+        return t.ident
+    if isinstance(t, (TIn, TOut)):
+        op = "?" if isinstance(t, TIn) else "!"
+        pay = pretty_type(t.payload)
+        if isinstance(t.payload, (TIn, TOut, TRec)):
+            pay = f"({pay})"
+        return f"{op}[{pri_str(t.obl)},{pri_str(t.cap)}] {pay} . {pretty_type(t.cont)}"
+    if isinstance(t, TRec):
+        return f"rec[{pri_str(t.index)}] {t.var}. {pretty_type(t.body)}"
+    raise TypeError(t)
+
+
+def well_formed(t: SessionType, allow_free=()) -> tuple[bool, Violation | None]:
+    def go(u, bound):
+        if isinstance(u, (End, Base)):
+            return None
+        if isinstance(u, TypeVar):
+            if u.ident not in bound and u.ident not in allow_free:
+                return Violation("unbound type variable", u)
+            return None
+        if isinstance(u, (TIn, TOut)):
+            if free_type_vars(u.payload):
+                return Violation("payload type is not closed", u.payload)
+            return go(u.payload, frozenset()) or go(u.cont, bound)
+        if isinstance(u, TRec):
+            chain = {u.var}
+            body = u.body
+            while isinstance(body, TRec):
+                chain.add(body.var)
+                body = body.body
+            if isinstance(body, TypeVar) and body.ident in chain:
+                return Violation("type is not contractive", u)
+            return go(u.body, bound | {u.var})
+        raise TypeError(u)
+
+    v = go(t, frozenset())
+    return (v is None, v)
+
+
+def obligation(sigma: dict, t: SessionType):
+    if isinstance(t, (End, Base)):
+        return INF
+    if isinstance(t, TypeVar):
+        if t.ident not in sigma:
+            raise UnboundTypeVar(t.ident)
+        return sigma[t.ident]
+    if isinstance(t, (TIn, TOut)):
+        return t.obl
+    if isinstance(t, TRec):
+        return obligation(sigma, t.body)
+    raise TypeError(t)
+
+
+def capability(t: SessionType):
+    if isinstance(t, (TIn, TOut)):
+        return t.cap
+    if isinstance(t, TRec):
+        return capability(t.body)
+    raise NoAction(pretty_type(t))
+
+
+def syntactic_dual(t: SessionType) -> SessionType:
+    if isinstance(t, (End, Base, TypeVar)):
+        return t
+    if isinstance(t, TIn):
+        return TOut(t.cap, t.obl, t.payload, syntactic_dual(t.cont))
+    if isinstance(t, TOut):
+        return TIn(t.cap, t.obl, t.payload, syntactic_dual(t.cont))
+    if isinstance(t, TRec):
+        return TRec(t.index, t.var, syntactic_dual(t.body))
+    raise TypeError(t)
+
+
+def type_key(t: SessionType, env=None, depth=0) -> str:
+    if env is None:
+        env = {}
+    if isinstance(t, End):
+        return "end"
+    if isinstance(t, Base):
+        return t.kind
+    if isinstance(t, TypeVar):
+        return env.get(t.ident, f"'{t.ident}")
+    if isinstance(t, (TIn, TOut)):
+        op = "?" if isinstance(t, TIn) else "!"
+        return (
+            f"{op}[{t.obl},{t.cap}]"
+            f"({type_key(t.payload, {}, 0)}).{type_key(t.cont, env, depth)}"
+        )
+    if isinstance(t, TRec):
+        return (
+            f"rec[{t.index}]@{depth}."
+            f"{type_key(t.body, {**env, t.var: f'@{depth}'}, depth + 1)}"
+        )
+    raise TypeError(t)
+
+
+def type_eq(t: SessionType, s: SessionType) -> bool:
+    return type_key(t) == type_key(s)
+
+
+def _serialize(p: Process) -> list:
+    """The one-walk serialization of ``sessprog.semantics``: pieces, with
+    each endpoint a slot ``(channel, polarity, text, free)``."""
+    out: list = []
+    counter = itertools.count()
+
+    def name(v, env):
+        if isinstance(v, Endpoint):
+            tok = env.get(("c", v.channel))
+            text = (f"'{v.channel}" if tok is None else tok) + v.polarity
+            out.append((v.channel, v.polarity, text, tok is None))
+        elif isinstance(v, Var):
+            out.append(env.get(("v", v.ident), f"'{v.ident}"))
+        else:
+            out.append(str(v))
+
+    def go(q, env):
+        if isinstance(q, Idle):
+            out.append("0")
+        elif isinstance(q, ProcVar):
+            out.append(env.get(("p", q.ident), f"'{q.ident}"))
+        elif isinstance(q, Par):
+            out.append("(")
+            go(q.left, env)
+            out.append("|")
+            go(q.right, env)
+            out.append(")")
+        elif isinstance(q, Output):
+            name(q.subject, env)
+            out.append("!")
+            name(q.payload, env)
+            out.append(".")
+            go(q.body, env)
+        else:  # a binder
+            tok = f"%{next(counter)}"
+            if isinstance(q, Input):
+                name(q.subject, env)
+                bound, text = ("v", q.binder), f"?({tok})."
+            elif isinstance(q, New):
+                ann = "" if q.pos_type is None else ":" + type_key(q.pos_type)
+                if ann and q.neg_type is not None:
+                    ann += "~" + type_key(q.neg_type)
+                bound, text = ("c", q.channel), f"new {tok}{ann}."
+            else:
+                bound, text = ("p", q.var), f"rec[{q.index}]{tok}."
+            out.append(text)
+            go(q.body, {**env, bound: tok})
+
+    go(p, {})
+    return out

@@ -167,6 +167,28 @@ def test_negative_indices_are_usage_errors(argv, capsys):
     assert e.value.code == 2 and "not a natural number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["explore", "forwarder.ssp", "--max-states", "0"], "not a positive integer"),
+        (["oracle", "forwarder.ssp", "--max-states", "-1"], "not a positive integer"),
+        (["run", "forwarder.ssp", "--max-steps", "-3"], "not a natural number"),
+    ],
+)
+def test_bounds_out_of_range_are_usage_errors(argv, message, capsys):
+    argv[1] = str(CORPUS / argv[1])
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2 and message in capsys.readouterr().err
+
+
+def test_smallest_bounds_are_accepted(capsys):
+    code, out, _ = run(capsys, "run", CORPUS / "forwarder.ssp", "--max-steps", 0)
+    assert code == 0 and "after 0 steps" in out
+    code, out, _ = run(capsys, "explore", CORPUS / "forwarder.ssp", "--max-states", 1)
+    assert code == 3 and "states: 1 " in out
+
+
 def test_deep_nesting_is_a_limit_not_a_reject(tmp_path, capsys):
     deep = tmp_path / "deep.ssp"
     deep.write_text("new a." + "a+!1." * 5000 + "0")

@@ -1,0 +1,199 @@
+"""Terms 10,000 levels deep, built through the API: every fold, map,
+printer and key of the library takes them without hitting the recursion
+limit, each call within a time bound.
+
+Results are compared as canonical keys and printed text, built here
+independently, never as nodes: dataclass ``==``, ``hash`` and ``repr``
+on nodes still recurse.  Each bound is ten times or more the longest
+time measured for its call on a 2-vCPU machine: at most 0.1 s for one
+walk, 0.25 s for ``freshen`` and 0.95 s for ten explored states."""
+
+import time
+
+import pytest
+
+from sessprog.measure import emeasure
+from sessprog.semantics import (
+    approx_leq,
+    approximant,
+    approximant_type,
+    canonicalize,
+    reachable,
+)
+from sessprog.sestypes import (
+    capability,
+    dual_strict_path,
+    obligation,
+    syntactic_dual,
+    type_eq,
+    type_key,
+    unfold,
+    well_formed,
+)
+from sessprog.syntax import (
+    INF,
+    Base,
+    End,
+    Endpoint,
+    Input,
+    New,
+    Output,
+    Par,
+    ProcVar,
+    Rec,
+    TIn,
+    TOut,
+    TRec,
+    TypeVar,
+    all_idents,
+    free_names,
+    free_proc_vars,
+    free_type_vars,
+    freshen,
+    pretty_proc,
+    pretty_type,
+)
+
+N = 10_000
+REC_EVERY = 100  # a type recursion opens before every 100th prefix
+
+
+def deep_type(var="t", tail=None):
+    """``rec[inf] t0. ![0,1] int . ?[1,2] int . ... . t0`` with a nested
+    ``rec`` every REC_EVERY prefixes: N prefixes, N / REC_EVERY recursions."""
+    t = TypeVar(f"{var}0") if tail is None else tail
+    for i in reversed(range(N)):
+        t = (TOut if i % 2 == 0 else TIn)(i, i + 1, Base(), t)
+        if i % REC_EVERY == 0:
+            t = TRec(INF, f"{var}{i // REC_EVERY}", t)
+    return t
+
+
+def deep_type_text(index="inf", dual=False):
+    parts = []
+    for i in range(N):
+        if i % REC_EVERY == 0:
+            parts.append(f"rec[{index}] t{i // REC_EVERY}. ")
+        out = (i % 2 == 0) != dual
+        pri = f"{i + 1},{i}" if dual else f"{i},{i + 1}"
+        parts.append(f"{'!' if out else '?'}[{pri}] int . ")
+    return "".join(parts) + "t0"
+
+
+def deep_type_key():
+    parts = []
+    for i in range(N):
+        if i % REC_EVERY == 0:
+            parts.append(f"rec[inf]@{i // REC_EVERY}.")
+        parts.append(f"{'!' if i % 2 == 0 else '?'}[{i},{i + 1}](int).")
+    return "".join(parts) + "@0"
+
+
+def deep_chain(a="a", x="X", y="Y", v="x"):
+    """``new a : T . (rec[inf] X. a+!0 . a+!1 . ... . X | rec[inf] Y. a-?(x). Y)``:
+    N outputs in a row under a ``new`` annotated with ``deep_type()``."""
+    body = ProcVar(x)
+    for i in reversed(range(N)):
+        body = Output(Endpoint(a, "+"), i, body)
+    reader = Rec(INF, y, Input(Endpoint(a, "-"), v, ProcVar(y)))
+    return New(a, deep_type(), None, Par(Rec(INF, x, body), reader))
+
+
+def deep_chain_text(a="a", x="X", y="Y", v="x", index="inf"):
+    outs = "".join(f"{a}+!{i}." for i in range(N))
+    return (
+        f"new {a} : {deep_type_text(index)}."
+        f"(rec[{index}] {x}.{outs}{x} | rec[{index}] {y}.{a}-?({v}).{y})"
+    )
+
+
+@pytest.fixture(scope="module")
+def chain():
+    return deep_chain()
+
+
+@pytest.fixture(scope="module")
+def deep():
+    return deep_type()
+
+
+WALK_S = 1.0
+
+
+def within(seconds, f, *args):
+    t0 = time.perf_counter()
+    result = f(*args)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < seconds, f"{f.__name__} took {elapsed:.2f} s"
+    return result
+
+
+def test_process_folds(chain):
+    a = {Endpoint("a", "+"), Endpoint("a", "-")}
+    assert within(WALK_S, free_names, chain) == frozenset()
+    assert within(WALK_S, free_names, chain.body) == a
+    assert within(WALK_S, free_proc_vars, chain) == frozenset()
+    assert within(WALK_S, free_proc_vars, chain.body.left.body) == {"X"}
+    assert within(WALK_S, all_idents, chain) == {"a", "X", "Y", "x"}
+    finite = approximant(chain, 1)
+    assert within(WALK_S, emeasure, finite) == (N + 1) + 2
+
+
+def test_printers(chain, deep):
+    assert within(WALK_S, pretty_type, deep) == deep_type_text()
+    assert within(WALK_S, pretty_proc, chain) == deep_chain_text()
+
+
+def test_canonical_keys(chain):
+    outs = "".join(f"#0+!{i}." for i in range(N))
+    key = f"nu[1] rec[inf]%0.{outs}%0 || rec[inf]%0.#0-?(%1).%0"
+    assert within(WALK_S, canonicalize, chain).key == key
+    # guarded, the annotated new is serialized with the key of its type
+    guarded = Input(Endpoint("c", "-"), "y", chain)
+    outs = "".join(f"%1+!{i}." for i in range(N))
+    key = f"nu[0] 'c-?(%0).new %1:{deep_type_key()}.(rec[inf]%2.{outs}%2|rec[inf]%3.%1-?(%4).%3)"
+    assert within(WALK_S, canonicalize, guarded).key == key
+
+
+def test_exploration(chain):
+    r = within(10, reachable, canonicalize(approximant(chain, 20)), 10)
+    assert len(r.states) == 10 and r.truncated
+    assert all(len(k) > N for k in r.states)
+
+
+def test_freshen_approximant_and_preorder(chain):
+    assert pretty_proc(within(2.5, freshen, chain)) == deep_chain_text()
+    twice = within(2.5, freshen, Par(chain, chain))
+    assert pretty_proc(twice) == deep_chain_text() + " | " + deep_chain_text("a_1", "X_1", "Y_1", "x_1")
+    two, three = within(WALK_S, approximant, chain, 2), approximant(chain, 3)
+    assert pretty_proc(three) == deep_chain_text(index=3)
+    assert within(WALK_S, approx_leq, two, three) and approx_leq(chain, chain)
+    assert not approx_leq(three, two)
+
+
+def test_type_folds_and_checks(deep):
+    assert within(WALK_S, free_type_vars, deep) == frozenset()
+    assert within(WALK_S, free_type_vars, deep.body) == {"t0"}
+    assert within(WALK_S, well_formed, deep) == (True, None)
+    ok, violation = within(WALK_S, well_formed, deep.body)
+    assert not ok and violation.reason == "unbound type variable" and violation.subterm.ident == "t0"
+    assert within(WALK_S, obligation, {}, deep) == 0 and within(WALK_S, capability, deep) == 1
+
+
+def test_type_rewrites_and_keys(deep):
+    assert within(WALK_S, type_key, deep) == deep_type_key()
+    assert within(WALK_S, type_eq, deep, deep_type(var="s"))
+    dual = within(WALK_S, syntactic_dual, deep)
+    assert pretty_type(dual) == deep_type_text(dual=True)
+    assert type_key(within(WALK_S, syntactic_dual, dual)) == deep_type_key()
+    text = deep_type_text()
+    assert pretty_type(within(WALK_S, unfold, deep)) == text[len("rec[inf] t0. "):-len("t0")] + text
+    approx = within(WALK_S, approximant_type, deep, 2)
+    assert pretty_type(approx) == deep_type_text(index=2)
+    assert within(WALK_S, approx_leq, approx, deep) and not approx_leq(deep, approx)
+
+
+def test_duality_path(deep):
+    assert within(WALK_S, dual_strict_path, deep, syntactic_dual(deep)) == (True, ())
+    ended = syntactic_dual(deep_type(tail=End()))
+    assert within(WALK_S, dual_strict_path, deep, ended) == (False, tuple(range(N)))

@@ -9,16 +9,21 @@ name-clashing programs of ``_clashing`` exercise ``freshen``,
 thread list, where the two must agree as well.  The one-walk measures
 must give the E and V of the recursive formulas on finite programs.
 The duality checkers must give the verdicts and mismatch paths of the
-recursive ones wherever those finish.
+recursive ones wherever those finish.  The folds, printers and keys of
+the iterative kernel must give what the recursive walkers give on every
+subterm of generated programs, and the type operations on every
+subterm of ``gen_type`` types and their unfoldings and on types of any
+shape, violations and exceptions included.
 """
 
 import contextlib
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import reference_walkers as ref
-from sessprog import gen, progress, semantics
+from sessprog import gen, progress, semantics, syntax
 from sessprog.gen import gen_finite, gen_subst_pair, gen_type, gen_user, gen_well_typed_user
 from sessprog.measure import emeasure, state_measure, vcount
 from sessprog.progress import Truncated, oracle_dynamic
@@ -26,14 +31,29 @@ from sessprog.semantics import (
     _merge,
     _rename_clashing_news,
     approximant,
+    approximant_type,
     approx_leq,
     canonicalize,
     reachable,
     state_to_process,
 )
-from sessprog.sestypes import DepthExceeded, dual_full, dual_strict_path, syntactic_dual, unfold
+from sessprog.sestypes import (
+    DepthExceeded,
+    NoAction,
+    UnboundTypeVar,
+    capability,
+    dual_full,
+    dual_strict_path,
+    obligation,
+    syntactic_dual,
+    type_key,
+    unfold,
+    well_formed,
+)
 from sessprog.syntax import (
     INF,
+    Base,
+    End,
     Endpoint,
     Idle,
     Input,
@@ -42,15 +62,21 @@ from sessprog.syntax import (
     Par,
     ProcVar,
     Rec,
+    TIn,
+    TOut,
     TRec,
+    TypeVar,
     Var,
     all_idents,
+    free_names,
     free_proc_vars,
+    free_type_vars,
+    children,
     freshen,
-    map_type,
     pretty_proc,
+    pretty_type,
+    subst_type_var,
     subterms,
-    type_children,
 )
 
 _PATCHES = (
@@ -190,17 +216,17 @@ def _rewrite_one_rec(rng, t, pick, rewrite):
     def collect(u):
         if isinstance(u, TRec) and pick(u):
             recs.append(u)
-        for c in type_children(u):
+        for c in children(u):
             collect(c)
 
-    def rebuild(u):
-        return rewrite(u) if u is target else map_type(rebuild, u)
+    def rebuild(u, env):
+        return (rewrite(u), None) if u is target else (u, env)
 
     collect(t)
     if not recs:
         return t
     target = rng.choice(recs)
-    return rebuild(t)
+    return syntax.rewrite(rebuild, t)
 
 
 def _type_pairs(monkeypatch, rng, n):
@@ -244,3 +270,132 @@ def test_duality_matches_the_recursive_checkers(monkeypatch):
     # both verdicts occur, and unfolding decides some pairs strictness does not
     assert {v for v, _strict in verdicts} == {True, False}
     assert any(full and not strict for full, strict in verdicts)
+
+
+def _process_corpus():
+    """Every subterm of seeded generated programs, and of name-clashing
+    ones."""
+    rng = random.Random(17)
+    programs = [gen_finite(rng) for _ in range(300)] + [gen_user(rng) for _ in range(300)]
+    programs += [gen_well_typed_user(rng) for _ in range(200)] + [_clashing(rng, 7) for _ in range(300)]
+    return [q for p in programs for q in subterms(p)]
+
+
+def test_process_folds_printers_and_keys_match_the_recursive_walkers(monkeypatch):
+    subs = _process_corpus()
+    for q in subs:
+        assert free_names(q) == ref.free_names(q)
+        assert free_proc_vars(q) == ref.free_proc_vars(q)
+        assert all_idents(q) == ref.all_idents(q)
+        assert pretty_proc(q) == ref.pretty_proc(q)
+        assert semantics._serialize(q) == ref._serialize(q)
+        if isinstance(q, (New, Rec)):  # the same term but for the name its binder binds
+            field = "channel" if isinstance(q, New) else "var"
+            renamed = replace(q, **{field: getattr(q, field) + "_"})
+            assert approx_leq(q, q) and not approx_leq(q, renamed) and not ref.approx_leq(q, renamed)
+    ours = [_merge({}, [q]).key for q in subs]
+    with monkeypatch.context() as m:
+        m.setattr(semantics, "_serialize", ref._serialize)
+        theirs = [_merge({}, [q]).key for q in subs]
+    assert ours == theirs
+    annotated = sum(isinstance(q, New) and q.pos_type is not None for q in subs)
+    assert len(subs) > 8000 and annotated > 500
+
+
+def _outcome(f, *args):
+    """The value of ``f(*args)``, or the class and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:  # the exception is the outcome compared
+        return type(e), str(e)
+
+
+def _any_type(rng, depth):
+    """A type of any shape over three variable names: open payloads,
+    non-contractive and shadowing recursions occur."""
+    kinds = ["end", "int", "var", "in", "out", "rec"] if depth > 0 else ["end", "var"]
+    k = rng.choice(kinds)
+    if k == "end":
+        return End()
+    if k == "int":
+        return Base()
+    if k == "var":
+        return TypeVar(rng.choice("tuv"))
+    if k == "rec":
+        return TRec(rng.choice([0, 1, 2, INF]), rng.choice("tuv"), _any_type(rng, depth - 1))
+    pri = [1, 2, "a", "b"]
+    cls = TIn if k == "in" else TOut
+    return cls(rng.choice(pri), rng.choice(pri), _any_type(rng, depth - 1), _any_type(rng, depth - 1))
+
+
+def _type_corpus(monkeypatch, rng):
+    """Every subterm of seeded ``gen_type`` types and of their one-step
+    unfoldings at every ``rec``, then types of any shape."""
+    monkeypatch.setattr(gen, "_uid", itertools.count())
+    types = []
+    for _ in range(200):
+        t = gen_type(rng, rng.randint(2, 8))
+        subs = list(subterms(t))
+        subs += [ref.unfold(u) for u in subs if isinstance(u, TRec) and u.index > 0]
+        types += [v for u in subs for v in subterms(u)]
+    return types + [_any_type(rng, rng.randint(1, 6)) for _ in range(2000)]
+
+
+def test_type_operations_match_the_recursive_walkers(monkeypatch):
+    rng = random.Random(19)
+    types = _type_corpus(monkeypatch, rng)
+    violations, raised = set(), set()
+    for t in types:
+        assert free_type_vars(t) == ref.free_type_vars(t)
+        assert pretty_type(t) == ref.pretty_type(t)
+        assert type_key(t) == ref.type_key(t)
+        env = {x: f"@{i}" for i, x in enumerate(sorted(free_type_vars(t)))}
+        assert type_key(t, env, len(env)) == ref.type_key(t, env, len(env))
+        assert pretty_type(syntactic_dual(t)) == pretty_type(ref.syntactic_dual(t))
+        ok, v = well_formed(t)
+        ok_ref, v_ref = ref.well_formed(t)
+        assert ok == ok_ref and (v is None) == (v_ref is None)
+        if v is not None:
+            assert v.reason == v_ref.reason and v.subterm is v_ref.subterm
+            violations.add(v.reason)
+        for sigma in ({}, {"t": 3, "u": "a"}):
+            assert _outcome(obligation, sigma, t) == _outcome(ref.obligation, sigma, t)
+        assert _outcome(capability, t) == _outcome(ref.capability, t)
+        raised |= {
+            o[0] for o in (_outcome(obligation, {}, t), _outcome(capability, t)) if isinstance(o, tuple)
+        }
+        approx = [approximant_type(t, i) for i in range(3)] + [t]
+        assert [pretty_type(a) for a in approx[:3]] == [
+            pretty_type(ref.approximant_type(t, i)) for i in range(3)
+        ]
+        for a in approx:
+            for b in approx:
+                assert approx_leq(a, b) == ref.approx_leq_type(a, b)
+        if isinstance(t, TRec):
+            renamed = TRec(t.index, t.var + "_", t.body)
+            assert approx_leq(t, renamed) == ref.approx_leq_type(t, renamed)
+            if t.index > 0:
+                assert pretty_type(unfold(t)) == pretty_type(ref.unfold(t))
+    assert violations == {"unbound type variable", "payload type is not closed", "type is not contractive"}
+    assert raised == {UnboundTypeVar, NoAction}
+
+
+def _binders(t) -> set:
+    return {u.var for u in subterms(t) if isinstance(u, TRec)}
+
+
+def test_type_substitution_matches_the_recursive_one(monkeypatch):
+    """Substitutions where binders capture: replacements drawn from the
+    corpus, or of any shape over the same three names as the type they
+    go into, whose binders then have to be renamed."""
+    rng = random.Random(23)
+    types = _type_corpus(monkeypatch, rng)
+    pairs = [(t, rng.choice(types)) for t in types]
+    pairs += [(_any_type(rng, rng.randint(1, 7)), _any_type(rng, rng.randint(0, 4))) for _ in range(20_000)]
+    renamed = 0
+    for t, s in pairs:
+        for x in sorted(ref.free_type_vars(t)):
+            ours, theirs = subst_type_var(t, x, s), ref.subst_type_var(t, x, s)
+            assert pretty_type(ours) == pretty_type(theirs)
+            renamed += not _binders(theirs) <= _binders(t) | _binders(s)
+    assert renamed > 300

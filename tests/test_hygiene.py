@@ -173,17 +173,16 @@ def recursive_functions(paths: list) -> set:
 
 
 # Every recursive function of the library.  Each recurses once per level
-# of the term it walks, so its depth is bounded by the recursion limit
-# (ROADMAP item 5(b)).  A function that stops recursing leaves this list.
+# of what it walks, so its depth is bounded by the recursion limit.  The
+# folds, maps, printers and keys run on the iterative traversal kernel of
+# ``syntax``; what remains (ROADMAP item 4) is the parser, which needs an
+# operator stack for ``|`` chains, and ``typecheck._check``, which needs a
+# worklist.  ``gen``'s helpers recurse only to the depth they are asked
+# for.  A function that stops recursing leaves this list.
 RECURSIVE = {
     "gen:gen_finite.go", "gen:gen_subst_pair.go", "gen:gen_type.go",
-    "semantics:_serialize.go", "semantics:approx_leq_type", "semantics:approximant_type",
-    "sestypes:capability", "sestypes:obligation", "sestypes:syntactic_dual",
-    "sestypes:type_key", "sestypes:well_formed.go",
     "syntax:_Parser._cont", "syntax:_Parser.parse_prefix", "syntax:_Parser.parse_proc",
-    "syntax:_Parser.parse_type", "syntax:_all_idents", "syntax:_body", "syntax:free_names",
-    "syntax:free_proc_vars", "syntax:free_type_vars", "syntax:pretty_proc",
-    "syntax:pretty_type", "syntax:subst_type_var",
+    "syntax:_Parser.parse_type",
     "typecheck:_check",
 }
 

@@ -3,7 +3,7 @@ import signal
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sessprog.cli import main
@@ -140,6 +140,7 @@ def test_longest_path_bounded_by_e():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**9))
+@example(369048257)  # stops at 800 states of many threads each: the slowest seed known
 def test_decrease_on_random_processes(seed):
     p = gen_finite(random.Random(seed), depth=5, max_index=3)
     ok, fails, _ = check_decrease(p, max_states=800)

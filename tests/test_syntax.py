@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from sessprog.syntax import (
     Var,
     all_idents,
     co,
+    fold,
     free_names,
     free_proc_vars,
     freshen,
@@ -25,8 +27,10 @@ from sessprog.syntax import (
     parse_type,
     pretty_proc,
     pretty_type,
+    rewrite,
     subst_name,
     subst_proc,
+    subterms,
 )
 
 
@@ -166,3 +170,26 @@ def test_type_round_trip(seed):
 def test_comments_and_whitespace():
     p = parse_process("# leading comment\n  0  # trailing\n")
     assert pretty_proc(p) == "0"
+
+
+def _shape(x, *vals):
+    return f"{type(x).__name__}({','.join(vals)})"
+
+
+@pytest.mark.parametrize(
+    "x, shape",
+    [
+        (
+            parse_process("new a.(a+!1.0 | rec[2]X.(X | a-?(x).0))"),
+            "New(Par(Output(Idle()),Rec(Par(ProcVar(),Input(Idle())))))",
+        ),
+        (parse_type("rec[1]t. ![a,b] (?[c,d] int . end) . t"), "TRec(TOut(TIn(Base(),End()),TypeVar()))"),
+    ],
+)
+def test_kernel_visits_children_left_to_right(x, shape):
+    assert fold(_shape, x) == shape
+    preorder = re.findall(r"\w+", shape)
+    assert [type(y).__name__ for y in subterms(x)] == preorder
+    seen = []
+    assert rewrite(lambda y, env: (seen.append(y) or y, env), x) is x  # nothing changed, nothing rebuilt
+    assert [type(y).__name__ for y in seen] == preorder
