@@ -2,8 +2,10 @@
 
 Subcommands: check, run, explore, progress, oracle, measure, approx,
 dual.  Exit codes: 0 accept/verified/holds, 1 reject/violated, 2 parse
-or usage error, 3 internal limit hit (state bound, pair budget or
-nesting depth).
+or usage error (an unreadable FILE or an ill-formed type included), 3
+internal limit hit (state bound or pair budget).  A ``RecursionError``
+also exits 3, as a safety net: no walk of the library recurses, but
+dataclass ``==``, ``hash`` and ``repr`` on deep nodes still do.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 import random
 import sys
 
-from .measure import InfiniteIndex, emeasure, vcount
+from .measure import InfiniteIndex, measures
 from .progress import NotClosed, Truncated, oracle_dynamic, verify_static
 from .semantics import (
     NotUserProcess,
@@ -26,7 +28,7 @@ from .semantics import (
     state_to_process,
     step,
 )
-from .sestypes import DepthExceeded, dual_full, dual_strict_path
+from .sestypes import DepthExceeded, dual_full, dual_strict_path, well_formed
 from .syntax import (
     INF,
     ParseError,
@@ -166,15 +168,15 @@ def _cmd_oracle(args) -> int:
 def _cmd_measure(args) -> int:
     p = _load(args.file)
     try:
-        e = emeasure(p)
-        table = [
-            {"var": r.var, "index": str(r.index), "v": vcount(r.body, r.var)}
-            for r in subterms(p)
-            if isinstance(r, Rec)
-        ]
+        e, _v, own = measures(p)
     except InfiniteIndex as ex:
         print(f"error: measure undefined, infinite index at {ex}", file=sys.stderr)
         return EXIT_REJECT
+    table = [
+        {"var": r.var, "index": str(r.index), "v": own[id(r)]}
+        for r in subterms(p)
+        if isinstance(r, Rec)
+    ]
     text = [f"E = {e}"] + [f"V_{row['var']}(body) = {row['v']}" for row in table]
     _emit(args, {"e": e, "recs": table}, "\n".join(text))
     return EXIT_OK
@@ -194,6 +196,10 @@ def _cmd_approx(args) -> int:
 def _cmd_dual(args) -> int:
     t = parse_type(args.type1)
     s = parse_type(args.type2)
+    for ok, violation in (well_formed(t), well_formed(s)):
+        if not ok:
+            print(f"error: ill-formed type: {violation}", file=sys.stderr)
+            return EXIT_PARSE
     strict, path = dual_strict_path(t, s)
     full = dual_full(t, s)
     _emit(
@@ -270,7 +276,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (Truncated, DepthExceeded) as e:

@@ -24,12 +24,14 @@ def _geom_sum(v: int, n: int) -> int:
     return n if v == 1 else (v**n - 1) // (v - 1)
 
 
-def _measures(p: Process) -> tuple[int, dict]:
-    """E of ``p`` and V of each free process variable of ``p`` (absent
-    means 0), in one bottom-up fold.  Prefixes count 1 and parallel
+def measures(p: Process) -> tuple[int, dict, dict]:
+    """E of ``p``, V of each free process variable of ``p`` (absent
+    means 0) and, for each ``rec`` of ``p`` by ``id``, V of its variable
+    in its body, in one bottom-up fold.  Prefixes count 1 and parallel
     composition adds; a recursion of index n pays for n unfoldings of a
     body that may itself multiply, so it scales the E and the V of its
     body by the geometric sum of its own V."""
+    own: dict = {}
 
     def at(q, body=(0, None), right=None):  # (E, V or None: no variables)
         t = type(q)
@@ -45,23 +47,24 @@ def _measures(p: Process) -> tuple[int, dict]:
                 q = next(r for r in subterms(p) if isinstance(r, Rec) and r.index == INF)
                 raise InfiniteIndex(f"rec[inf] {q.var}")
             e, v = body[0], body[1] or {}
-            g = _geom_sum(v.get(q.var, 0), q.index)
+            own[id(q)] = v.get(q.var, 0)
+            g = _geom_sum(own[id(q)], q.index)
             return (1 + e) * g, {x: n * g for x, n in v.items() if x != q.var}
         return body  # idle, new
 
     e, v = fold(at, p)
-    return e, v or {}
+    return e, v or {}, own
 
 
 def vcount(p: Process, x: str) -> int:
     """Multiplicity bound of the free process variable ``x`` in the full
     unfolding of ``p``."""
-    return _measures(p)[1].get(x, 0)
+    return measures(p)[1].get(x, 0)
 
 
 def emeasure(p: Process) -> int:
     """Upper bound on the number of reduction steps of ``p``."""
-    return _measures(p)[0]
+    return measures(p)[0]
 
 
 def state_measure(s: CanonState) -> int:
@@ -104,7 +107,7 @@ def longest_path(p: Process, max_states: int = 100_000) -> int:
     """Length of the longest reduction sequence; finite because the graph
     of a finite-index process is acyclic (the measure strictly drops).
     A process with an infinite index raises ``InfiniteIndex`` first."""
-    _measures(p)  # an infinite index can make the graph cyclic
+    measures(p)  # an infinite index can make the graph cyclic
     s0 = canonicalize(p)
     r = reachable(s0, max_states=max_states)
     if r.truncated:

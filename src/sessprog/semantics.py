@@ -260,6 +260,7 @@ def _rename_clashing_news(p: Process, seen: set) -> Process:
     """Rename ``new`` binders whose channel name is already taken; needed
     because unfolding duplicates restriction binders and hoisting requires
     globally unique channels.  Other binders are left alone."""
+    seen = dict.fromkeys(seen, 0)
 
     def go(q, cenv):  # cenv: the channels renamed so far
         if cenv:

@@ -481,16 +481,17 @@ def all_idents(p: Process) -> set:
     return acc
 
 
-def rebind(q: Process, binder: str, env: dict, taken: set):
+def rebind(q: Process, binder: str, env: dict, taken: dict):
     """Rename the ``binder`` field of ``q`` to the first of ``name``,
     ``name_1``, ``name_2``, ... not in ``taken``, which gains it.  Returns
-    ``q`` and ``env``, both extended only when the name changed."""
+    ``q`` and ``env``, both extended only when the name changed.  A taken
+    name maps to the last suffix given to it, so the search resumes there."""
     old = getattr(q, binder)
-    new, k = old, 0
+    new, k = old, taken.get(old, 0)
     while new in taken:
         k += 1
         new = f"{old}_{k}"
-    taken.add(new)
+    taken[old], taken[new] = k, 0
     if new == old:
         return q, env
     return replace(q, **{binder: new}), {**env, old: new}
@@ -510,10 +511,10 @@ def freshen(p: Process, reserved=()) -> Process:
     """Rename binders so every binder in the result is unique and distinct
     from every free name.  Binders whose names are not reused keep them,
     so already-fresh terms come back unchanged."""
-    seen = set(reserved)
+    seen = set(reserved) | free_proc_vars(p)
     for n in free_names(p):
         _ident_of(n, seen)
-    seen |= free_proc_vars(p)
+    seen = dict.fromkeys(seen, 0)
 
     def go(q, env):  # env: the binders renamed so far, per kind
         venv, cenv, penv = env
@@ -698,25 +699,42 @@ class _Parser:
     # -- processes
 
     def parse_proc(self) -> Process:
-        left = self.parse_prefix()
-        if self.accept("sym", "|"):
-            return Par(left, self.parse_proc(), pos=_pos(self.peek()))
-        return left
+        """A process: prefixes bind tighter than ``|``, which nests to the
+        right.  One loop over a stack of what each pending term waits
+        for, innermost last: a prefix its body, as ``(class, fields,
+        pos)``; the left side of a ``|`` its right side, as ``(Par,
+        (left,), None)``; an open ``(`` its ``)``, as ``(None, (), None)``."""
+        stack: list = []
+        while True:
+            tok = self.tokens[self.i]
+            if tok[0] == "num" and tok[1] == "0" or tok[0] == "id" and tok[1][0].isupper():
+                self.next()
+                p = Idle(pos=_pos(tok)) if tok[0] == "num" else ProcVar(tok[1], pos=_pos(tok))
+            else:
+                stack.append((*self._opening(tok), _pos(tok)))
+                continue
+            while True:  # p is complete: hand it to what waits for it
+                if stack and stack[-1][0] not in (Par, None):
+                    cls, fields, pos = stack.pop()
+                    p = cls(*fields, p, pos=pos)
+                elif self.accept("sym", "|"):
+                    stack.append((Par, (p,), None))
+                    break
+                else:  # p ends a process: close the '|'s it ends, then its '('
+                    pos = _pos(self.tokens[self.i])
+                    while stack and stack[-1][0] is Par:
+                        p = Par(stack.pop()[1][0], p, pos=pos)
+                    if not stack:
+                        return p
+                    stack.pop()
+                    self.expect("sym", ")")
 
-    def _cont(self) -> Process:
-        self.expect("sym", ".")
-        return self.parse_prefix()
-
-    def parse_prefix(self) -> Process:
-        tok = self.peek()
-        pos = _pos(tok)
-        if self.accept("num", "0"):
-            return Idle(pos=pos)
+    def _opening(self, tok) -> tuple:
+        """Read the head of a prefix, up to and with its '.', as the class
+        and fields of the node it builds; or an open ``(``, as None."""
         if tok[0] == "sym" and tok[1] == "(":
             self.next()
-            p = self.parse_proc()
-            self.expect("sym", ")")
-            return p
+            return None, ()
         if tok[0] == "new":
             self.next()
             chan = self._lower_id("channel")
@@ -725,29 +743,28 @@ class _Parser:
                 pos_type = self.parse_type()
                 if self.accept("sym", "~"):
                     neg_type = self.parse_type()
-            return New(chan, pos_type, neg_type, self._cont(), pos=pos)
-        if tok[0] == "rec":
+            head = New, (chan, pos_type, neg_type)
+        elif tok[0] == "rec":
             self.next()
             idx = self._index()
-            var = self._upper_id("process variable")
-            return Rec(idx, var, self._cont(), pos=pos)
-        if tok[0] == "id":
-            if tok[1][0].isupper():
-                self.next()
-                return ProcVar(tok[1], pos=pos)
+            head = Rec, (idx, self._upper_id("process variable"))
+        elif tok[0] == "id":
             subject = self._name()
             if self.accept("sym", "?"):
                 self.expect("sym", "(")
                 binder = self._lower_id("variable")
                 self.expect("sym", ")")
-                return Input(subject, binder, self._cont(), pos=pos)
-            if self.accept("sym", "!"):
-                payload = self._value()
-                return Output(subject, payload, self._cont(), pos=pos)
-            self.error("expected '?' or '!' after subject", expected=("?", "!"))
-        if tok[0] == "num":
+                head = Input, (subject, binder)
+            elif self.accept("sym", "!"):
+                head = Output, (subject, self._value())
+            else:
+                self.error("expected '?' or '!' after subject", expected=("?", "!"))
+        elif tok[0] == "num":
             self.error("only '0' denotes the idle process", expected=("0",))
-        self.error("expected a process", expected=("process",))
+        else:
+            self.error("expected a process", expected=("process",))
+        self.expect("sym", ".")
+        return head
 
     def _name(self):
         tok = self.expect("id", what="name")
@@ -792,44 +809,55 @@ class _Parser:
     # -- session types
 
     def parse_type(self) -> SessionType:
-        tok = self.peek()
-        if tok[0] == "end":
+        """A session type, in one loop over a stack of what each pending
+        type waits for, innermost last: a prefix type first its payload
+        and then, after the '.', its continuation; a ``rec`` its body; an
+        open ``(`` its ``)``."""
+        stack: list = []  # (class, *fields so far); (None,) for a '('
+        while True:
+            tok = self.tokens[self.i]
+            if not (tok[0] in ("end", "int", "rec", "id") or tok[0] == "sym" and tok[1] in "(?!"):
+                self.error("expected a type", expected=("type",))
             self.next()
-            return End()
-        if tok[0] == "int":
-            self.next()
-            return Base()
-        if tok[0] == "sym" and tok[1] == "(":
-            self.next()
-            t = self.parse_type()
-            self.expect("sym", ")")
-            return t
-        if tok[0] == "sym" and tok[1] in "?!":
-            self.next()
-            self.expect("sym", "[")
-            obl = self._priority()
-            self.expect("sym", ",")
-            cap = self._priority()
-            self.expect("sym", "]")
-            payload = self.parse_type()
-            self.expect("sym", ".")
-            cont = self.parse_type()
-            cls = TIn if tok[1] == "?" else TOut
-            return cls(obl, cap, payload, cont)
-        if tok[0] == "rec":
-            self.next()
-            idx = self._index()
-            var = self._lower_id("type variable")
-            self.expect("sym", ".")
-            return TRec(idx, var, self.parse_type())
-        if tok[0] == "id":
-            self.next()
-            if tok[1][0].isupper():
+            if tok[0] == "sym" and tok[1] == "(":
+                stack.append((None,))
+                continue
+            if tok[0] == "sym" and tok[1] in "?!":
+                self.expect("sym", "[")
+                obl = self._priority()
+                self.expect("sym", ",")
+                cap = self._priority()
+                self.expect("sym", "]")
+                stack.append((TIn if tok[1] == "?" else TOut, obl, cap))
+                continue
+            if tok[0] == "rec":
+                idx = self._index()
+                var = self._lower_id("type variable")
+                self.expect("sym", ".")
+                stack.append((TRec, idx, var))
+                continue
+            if tok[0] == "end":
+                t = End()
+            elif tok[0] == "int":
+                t = Base()
+            elif tok[0] == "id" and tok[1][0].isupper():
                 if tok[1] not in self.aliases:
                     raise ParseError(f"unknown type alias {tok[1]!r}", tok[2], tok[3])
-                return self.aliases[tok[1]]
-            return TypeVar(tok[1])
-        self.error("expected a type", expected=("type",))
+                t = self.aliases[tok[1]]
+            else:
+                t = TypeVar(tok[1])
+            while stack:  # t is complete: hand it to what waits for it
+                cls, *fields = stack.pop()
+                if cls is None:
+                    self.expect("sym", ")")
+                elif cls is TRec or len(fields) == 3:
+                    t = cls(*fields, t)
+                else:  # the payload: the continuation follows the '.'
+                    stack.append((cls, *fields, t))
+                    self.expect("sym", ".")
+                    break
+            else:
+                return t
 
     def _priority(self):
         tok = self.peek()

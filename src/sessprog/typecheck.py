@@ -240,20 +240,6 @@ def split_env(delta: dict, left: Process, right: Process, gamma: dict):
     return dl, dr
 
 
-def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> CheckResult:
-    """Check the judgment with type-variable environment sigma, process
-    environment gamma (process variable to expected name environment of
-    type variables), and name environment delta, at judgment index iota.
-    Returns the emitted constraints; satisfiability is decided separately
-    by solve."""
-    constraints: list = []
-    try:
-        _check(sigma, gamma, dict(delta), p, iota, constraints)
-    except _Fail as f:
-        return CheckResult(False, constraints, [f.diag])
-    return CheckResult(True, constraints, [])
-
-
 def _ob(sigma, t, pos):
     try:
         return obligation(sigma, t)
@@ -261,192 +247,165 @@ def _ob(sigma, t, pos):
         _fail("SubjectTypeMismatch", f"obligation undefined: {e}", pos)
 
 
-def _check(sigma, gamma, delta, p, iota, out):
-    if isinstance(p, Idle):
-        for u, t in delta.items():
-            if not _discardable(t):
-                _fail(
-                    "UnusedLinearName",
-                    f"{name_str(u)} : {pretty_type(t)} left over at the idle process",
-                    p.pos,
-                )
-        return
+def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> CheckResult:
+    """Check the judgment with type-variable environment sigma, process
+    environment gamma (process variable to expected name environment of
+    type variables), and name environment delta, at judgment index iota.
+    Returns the emitted constraints; satisfiability is decided separately
+    by solve.  The judgments still to check wait on a stack: each rule
+    pushes its premises, the right side of a ``|`` before its left."""
+    out: list = []
+    todo = [(sigma, gamma, dict(delta), p)]
+    try:
+        while todo:
+            sigma, gamma, delta, p = todo.pop()
+            if isinstance(p, Idle):
+                for u, t in delta.items():
+                    if not _discardable(t):
+                        _fail(
+                            "UnusedLinearName",
+                            f"{name_str(u)} : {pretty_type(t)} left over at the idle process",
+                            p.pos,
+                        )
 
-    if isinstance(p, ProcVar):
-        expected = gamma.get(p.ident)
-        if expected is None:
-            _fail("RecShapeMismatch", f"unbound process variable {p.ident}", p.pos)
-        for u, t in delta.items():
-            if u not in expected:
-                if not _discardable(t):
+            elif isinstance(p, ProcVar):
+                expected = gamma.get(p.ident)
+                if expected is None:
+                    _fail("RecShapeMismatch", f"unbound process variable {p.ident}", p.pos)
+                for u, t in delta.items():
+                    if u not in expected:
+                        if not _discardable(t):
+                            _fail(
+                                "UnusedLinearName",
+                                f"{name_str(u)} : {pretty_type(t)} left over at {p.ident}",
+                                p.pos,
+                            )
+                        continue
+                    if not (isinstance(t, TypeVar) and t.ident == expected[u].ident):
+                        _fail(
+                            "RecShapeMismatch",
+                            f"{name_str(u)} has type {pretty_type(t)} at {p.ident}, "
+                            f"expected {pretty_type(expected[u])}",
+                            p.pos,
+                        )
+                missing = [u for u in expected if u not in delta]
+                if missing:
                     _fail(
-                        "UnusedLinearName",
-                        f"{name_str(u)} : {pretty_type(t)} left over at {p.ident}",
+                        "RecShapeMismatch",
+                        f"{p.ident} expects {', '.join(name_str(u) for u in missing)} in scope",
                         p.pos,
                     )
-                continue
-            if not (isinstance(t, TypeVar) and t.ident == expected[u].ident):
-                _fail(
-                    "RecShapeMismatch",
-                    f"{name_str(u)} has type {pretty_type(t)} at {p.ident}, "
-                    f"expected {pretty_type(expected[u])}",
-                    p.pos,
-                )
-        missing = [u for u in expected if u not in delta]
-        if missing:
-            _fail(
-                "RecShapeMismatch",
-                f"{p.ident} expects {', '.join(name_str(u) for u in missing)} in scope",
-                p.pos,
-            )
-        return
 
-    if isinstance(p, Input):
-        u = p.subject
-        t = delta.get(u)
-        if t is None:
-            _fail("SubjectTypeMismatch", f"no binding for {name_str(u)}", p.pos)
-        if not isinstance(t, TIn):
-            _fail(
-                "SubjectTypeMismatch",
-                f"{name_str(u)} : {pretty_type(t)} cannot receive",
-                p.pos,
-            )
-        beta = t.cap
-        for v, tv in delta.items():
-            if v != u:
-                out.append(
-                    Constraint(beta, _ob(sigma, tv, p.pos), f"t-input {name_str(u)}", p.pos)
-                )
-        rest = dict(delta)
-        rest[u] = t.cont
-        rest[Var(p.binder)] = t.payload
-        _check(sigma, gamma, rest, p.body, iota, out)
-        return
+            elif isinstance(p, (Input, Output)):  # t-input and t-output
+                u, receive = p.subject, isinstance(p, Input)
+                rule, subj, t = ("t-input" if receive else "t-output"), name_str(u), delta.get(u)
+                if t is None:
+                    _fail("SubjectTypeMismatch", f"no binding for {subj}", p.pos)
+                if not isinstance(t, TIn if receive else TOut):
+                    verb = "receive" if receive else "send"
+                    _fail("SubjectTypeMismatch", f"{subj} : {pretty_type(t)} cannot {verb}", p.pos)
+                rest = dict(delta)
+                if not receive:  # a literal of the base sort, or a name sent away
+                    if isinstance(p.payload, int):
+                        if not isinstance(t.payload, Base):
+                            _fail(
+                                "SubjectTypeMismatch",
+                                f"{subj} sends a literal but carries {pretty_type(t.payload)}",
+                                p.pos,
+                            )
+                    else:
+                        what, tv = f"payload {name_str(p.payload)}", rest.pop(p.payload, None)
+                        if tv is None:
+                            _fail("SubjectTypeMismatch", f"{what} is not in scope", p.pos)
+                        if not type_eq(tv, t.payload):
+                            _fail(
+                                "SubjectTypeMismatch",
+                                f"{what} : {pretty_type(tv)} does not match "
+                                f"carried type {pretty_type(t.payload)}",
+                                p.pos,
+                            )
+                    ob = _ob(sigma, t.payload, p.pos)
+                    out.append(Constraint(t.cap, ob, f"{rule} payload of {subj}", p.pos))
+                for v, tv in rest.items():
+                    if v != u:
+                        ob = _ob(sigma, tv, p.pos)
+                        out.append(Constraint(t.cap, ob, f"{rule} {subj}", p.pos))
+                rest[u] = t.cont
+                if receive:
+                    rest[Var(p.binder)] = t.payload
+                todo.append((sigma, gamma, rest, p.body))
 
-    if isinstance(p, Output):
-        u = p.subject
-        t = delta.get(u)
-        if t is None:
-            _fail("SubjectTypeMismatch", f"no binding for {name_str(u)}", p.pos)
-        if not isinstance(t, TOut):
-            _fail(
-                "SubjectTypeMismatch",
-                f"{name_str(u)} : {pretty_type(t)} cannot send",
-                p.pos,
-            )
-        beta = t.cap
-        rest = dict(delta)
-        if isinstance(p.payload, int):
-            if not isinstance(t.payload, Base):
-                _fail(
-                    "SubjectTypeMismatch",
-                    f"{name_str(u)} sends a literal but carries {pretty_type(t.payload)}",
-                    p.pos,
-                )
-        else:
-            tv = rest.pop(p.payload, None)
-            if tv is None:
-                _fail(
-                    "SubjectTypeMismatch",
-                    f"payload {name_str(p.payload)} is not in scope",
-                    p.pos,
-                )
-            if not type_eq(tv, t.payload):
-                _fail(
-                    "SubjectTypeMismatch",
-                    f"payload {name_str(p.payload)} : {pretty_type(tv)} does not match "
-                    f"carried type {pretty_type(t.payload)}",
-                    p.pos,
-                )
-        out.append(
-            Constraint(
-                beta, _ob(sigma, t.payload, p.pos), f"t-output payload of {name_str(u)}", p.pos
-            )
-        )
-        for v, tv in rest.items():
-            if v != u:
-                out.append(
-                    Constraint(beta, _ob(sigma, tv, p.pos), f"t-output {name_str(u)}", p.pos)
-                )
-        rest[u] = t.cont
-        _check(sigma, gamma, rest, p.body, iota, out)
-        return
+            elif isinstance(p, Par):
+                dl, dr = split_env(delta, p.left, p.right, gamma)
+                todo += ((sigma, gamma, dr, p.right), (sigma, gamma, dl, p.left))
 
-    if isinstance(p, Par):
-        dl, dr = split_env(delta, p.left, p.right, gamma)
-        _check(sigma, gamma, dl, p.left, iota, out)
-        _check(sigma, gamma, dr, p.right, iota, out)
-        return
+            elif isinstance(p, New):
+                pos_t = p.pos_type if p.pos_type is not None else End()
+                neg_t = p.neg_type if p.neg_type is not None else syntactic_dual(pos_t)
+                for t in (pos_t, neg_t):
+                    ok, viol = well_formed(t)
+                    if not ok:
+                        _fail("SubjectTypeMismatch", f"annotation on {p.channel}: {viol}", p.pos)
+                if iota == 0:
+                    ok, path = dual_strict_path(pos_t, neg_t)
+                    if not ok:
+                        _fail(
+                            "DualityFailure",
+                            f"types of {p.channel}+ and {p.channel}- are not strictly dual "
+                            f"(mismatch at prefix path {list(path)})",
+                            p.pos,
+                        )
+                elif not dual_full(pos_t, neg_t):
+                    c = p.channel
+                    _fail("DualityFailure", f"types of {c}+ and {c}- are not dual", p.pos)
+                inner = dict(delta)
+                inner[Endpoint(p.channel, "+")] = pos_t
+                inner[Endpoint(p.channel, "-")] = neg_t
+                todo.append((sigma, gamma, inner, p.body))
 
-    if isinstance(p, New):
-        pos_t = p.pos_type if p.pos_type is not None else End()
-        neg_t = p.neg_type if p.neg_type is not None else syntactic_dual(pos_t)
-        for t in (pos_t, neg_t):
-            ok, viol = well_formed(t)
-            if not ok:
-                _fail("SubjectTypeMismatch", f"annotation on {p.channel}: {viol}", p.pos)
-        if iota == 0:
-            ok, path = dual_strict_path(pos_t, neg_t)
-            if not ok:
-                _fail(
-                    "DualityFailure",
-                    f"types of {p.channel}+ and {p.channel}- are not strictly dual "
-                    f"(mismatch at prefix path {list(path)})",
-                    p.pos,
-                )
-        else:
-            if not dual_full(pos_t, neg_t):
-                _fail(
-                    "DualityFailure",
-                    f"types of {p.channel}+ and {p.channel}- are not dual",
-                    p.pos,
-                )
-        inner = dict(delta)
-        inner[Endpoint(p.channel, "+")] = pos_t
-        inner[Endpoint(p.channel, "-")] = neg_t
-        _check(sigma, gamma, inner, p.body, iota, out)
-        return
+            elif isinstance(p, Rec):
+                if not p.index <= iota:
+                    _fail(
+                        "RecShapeMismatch",
+                        f"recursion index {p.index} exceeds the judgment index {iota}",
+                        p.pos,
+                    )
+                opened: dict = {}
+                expected = {}
+                sigma2 = dict(sigma)
+                for u, t in delta.items():
+                    if _discardable(t):
+                        continue
+                    if not isinstance(t, TRec):
+                        _fail(
+                            "RecShapeMismatch",
+                            f"{name_str(u)} : {pretty_type(t)} is not recursive"
+                            f" at rec[{p.index}]{p.var}",
+                            p.pos,
+                        )
+                    if t.index != p.index:
+                        _fail(
+                            "RecShapeMismatch",
+                            f"{name_str(u)} has recursion index {t.index}, process has {p.index}",
+                            p.pos,
+                        )
+                    # sigma2 grows with every binding along a path, so its size
+                    # names the variable apart from the others in scope; '%'
+                    # keeps it apart from the user's type variables
+                    tv = f"{t.var}%{len(sigma2)}"
+                    body = subst_type_var(t.body, t.var, TypeVar(tv))
+                    sigma2[tv] = _ob(sigma, t.body, p.pos)
+                    opened[u] = body
+                    expected[u] = TypeVar(tv)
+                gamma2 = dict(gamma)
+                gamma2[p.var] = expected
+                todo.append((sigma2, gamma2, opened, p.body))
 
-    if isinstance(p, Rec):
-        if not p.index <= iota:
-            _fail(
-                "RecShapeMismatch",
-                f"recursion index {p.index} exceeds the judgment index {iota}",
-                p.pos,
-            )
-        opened: dict = {}
-        expected: dict = {}
-        sigma2 = dict(sigma)
-        for u, t in delta.items():
-            if _discardable(t):
-                continue
-            if not isinstance(t, TRec):
-                _fail(
-                    "RecShapeMismatch",
-                    f"{name_str(u)} : {pretty_type(t)} is not recursive at rec[{p.index}]{p.var}",
-                    p.pos,
-                )
-            if t.index != p.index:
-                _fail(
-                    "RecShapeMismatch",
-                    f"{name_str(u)} has recursion index {t.index}, process has {p.index}",
-                    p.pos,
-                )
-            # sigma2 grows with every binding along a path, so its size names
-            # the variable apart from the others in scope; '%' keeps it apart
-            # from the user's type variables
-            tv = f"{t.var}%{len(sigma2)}"
-            body = subst_type_var(t.body, t.var, TypeVar(tv))
-            sigma2[tv] = _ob(sigma, t.body, p.pos)
-            opened[u] = body
-            expected[u] = TypeVar(tv)
-        gamma2 = dict(gamma)
-        gamma2[p.var] = expected
-        _check(sigma2, gamma2, opened, p.body, iota, out)
-        return
-
-    raise TypeError(p)
+            else:
+                raise TypeError(p)
+    except _Fail as f:
+        return CheckResult(False, out, [f.diag])
+    return CheckResult(True, out, [])
 
 
 def balanced(delta: dict) -> bool:

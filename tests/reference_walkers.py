@@ -20,6 +20,14 @@ before the iterative folds of the kernel: ``free_names``,
 the one-walk ``_serialize``.  Every reference here uses these and no
 library walker, so the two sides stay independent.
 
+And the recursive parser and type checker as they were before they ran
+on explicit stacks: ``RecursiveParser`` is ``syntax._Parser`` with one
+method per grammar rule, and ``check`` hands the judgment to the
+recursive ``_check``, which has separate input and output rules.  These
+two use the library's helpers (the token methods, environment
+splitting, type operations), so only the parsing and checking logic is
+compared.
+
 Test-only reference: ``tests/test_differential.py`` demands that the
 kernel versions give byte-identical keys, terms, texts and verdicts,
 and equal measures, and identical duality verdicts and mismatch paths
@@ -31,6 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 
+import sessprog.typecheck as tc
 from sessprog.measure import InfiniteIndex, _geom_sum
 from sessprog.semantics import CanonState, NotUserProcess
 from sessprog.sestypes import (
@@ -59,11 +68,15 @@ from sessprog.syntax import (
     TOut,
     TRec,
     TypeVar,
+    ParseError,
     Var,
     _ident_of,
+    _Parser,
+    _pos,
     name_str,
     pri_str,
 )
+from sessprog.typecheck import CheckResult, Constraint, _discardable, _fail, _Fail, _ob, split_env
 
 
 def subst_name(p: Process, target: str, repl) -> Process | None:
@@ -924,3 +937,299 @@ def _serialize(p: Process) -> list:
 
     go(p, {})
     return out
+
+
+class RecursiveParser(_Parser):
+    """The parser of ``sessprog.syntax`` as it was before it ran on
+    explicit stacks: one method per grammar rule, each calling the
+    others, so nesting depth is bounded by the recursion limit."""
+
+    def parse_proc(self) -> Process:
+        left = self.parse_prefix()
+        if self.accept("sym", "|"):
+            return Par(left, self.parse_proc(), pos=_pos(self.peek()))
+        return left
+
+    def _cont(self) -> Process:
+        self.expect("sym", ".")
+        return self.parse_prefix()
+
+    def parse_prefix(self) -> Process:
+        tok = self.peek()
+        pos = _pos(tok)
+        if self.accept("num", "0"):
+            return Idle(pos=pos)
+        if tok[0] == "sym" and tok[1] == "(":
+            self.next()
+            p = self.parse_proc()
+            self.expect("sym", ")")
+            return p
+        if tok[0] == "new":
+            self.next()
+            chan = self._lower_id("channel")
+            pos_type = neg_type = None
+            if self.accept("sym", ":"):
+                pos_type = self.parse_type()
+                if self.accept("sym", "~"):
+                    neg_type = self.parse_type()
+            return New(chan, pos_type, neg_type, self._cont(), pos=pos)
+        if tok[0] == "rec":
+            self.next()
+            idx = self._index()
+            var = self._upper_id("process variable")
+            return Rec(idx, var, self._cont(), pos=pos)
+        if tok[0] == "id":
+            if tok[1][0].isupper():
+                self.next()
+                return ProcVar(tok[1], pos=pos)
+            subject = self._name()
+            if self.accept("sym", "?"):
+                self.expect("sym", "(")
+                binder = self._lower_id("variable")
+                self.expect("sym", ")")
+                return Input(subject, binder, self._cont(), pos=pos)
+            if self.accept("sym", "!"):
+                payload = self._value()
+                return Output(subject, payload, self._cont(), pos=pos)
+            self.error("expected '?' or '!' after subject", expected=("?", "!"))
+        if tok[0] == "num":
+            self.error("only '0' denotes the idle process", expected=("0",))
+        self.error("expected a process", expected=("process",))
+
+    def parse_type(self) -> SessionType:
+        tok = self.peek()
+        if tok[0] == "end":
+            self.next()
+            return End()
+        if tok[0] == "int":
+            self.next()
+            return Base()
+        if tok[0] == "sym" and tok[1] == "(":
+            self.next()
+            t = self.parse_type()
+            self.expect("sym", ")")
+            return t
+        if tok[0] == "sym" and tok[1] in "?!":
+            self.next()
+            self.expect("sym", "[")
+            obl = self._priority()
+            self.expect("sym", ",")
+            cap = self._priority()
+            self.expect("sym", "]")
+            payload = self.parse_type()
+            self.expect("sym", ".")
+            cont = self.parse_type()
+            cls = TIn if tok[1] == "?" else TOut
+            return cls(obl, cap, payload, cont)
+        if tok[0] == "rec":
+            self.next()
+            idx = self._index()
+            var = self._lower_id("type variable")
+            self.expect("sym", ".")
+            return TRec(idx, var, self.parse_type())
+        if tok[0] == "id":
+            self.next()
+            if tok[1][0].isupper():
+                if tok[1] not in self.aliases:
+                    raise ParseError(f"unknown type alias {tok[1]!r}", tok[2], tok[3])
+                return self.aliases[tok[1]]
+            return TypeVar(tok[1])
+        self.error("expected a type", expected=("type",))
+
+
+def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> CheckResult:
+    """``typecheck.check`` as it was before its worklist: it hands the
+    judgment to the recursive ``_check``."""
+    constraints: list = []
+    try:
+        _check(sigma, gamma, dict(delta), p, iota, constraints)
+    except _Fail as f:
+        return CheckResult(False, constraints, [f.diag])
+    return CheckResult(True, constraints, [])
+
+
+def _check(sigma, gamma, delta, p, iota, out):
+    """The typing rules by recursion, with separate input and output
+    rules."""
+    if isinstance(p, Idle):
+        for u, t in delta.items():
+            if not _discardable(t):
+                _fail(
+                    "UnusedLinearName",
+                    f"{name_str(u)} : {tc.pretty_type(t)} left over at the idle process",
+                    p.pos,
+                )
+        return
+
+    if isinstance(p, ProcVar):
+        expected = gamma.get(p.ident)
+        if expected is None:
+            _fail("RecShapeMismatch", f"unbound process variable {p.ident}", p.pos)
+        for u, t in delta.items():
+            if u not in expected:
+                if not _discardable(t):
+                    _fail(
+                        "UnusedLinearName",
+                        f"{name_str(u)} : {tc.pretty_type(t)} left over at {p.ident}",
+                        p.pos,
+                    )
+                continue
+            if not (isinstance(t, TypeVar) and t.ident == expected[u].ident):
+                _fail(
+                    "RecShapeMismatch",
+                    f"{name_str(u)} has type {tc.pretty_type(t)} at {p.ident}, "
+                    f"expected {tc.pretty_type(expected[u])}",
+                    p.pos,
+                )
+        missing = [u for u in expected if u not in delta]
+        if missing:
+            _fail(
+                "RecShapeMismatch",
+                f"{p.ident} expects {', '.join(name_str(u) for u in missing)} in scope",
+                p.pos,
+            )
+        return
+
+    if isinstance(p, Input):
+        u = p.subject
+        t = delta.get(u)
+        if t is None:
+            _fail("SubjectTypeMismatch", f"no binding for {name_str(u)}", p.pos)
+        if not isinstance(t, TIn):
+            _fail(
+                "SubjectTypeMismatch",
+                f"{name_str(u)} : {tc.pretty_type(t)} cannot receive",
+                p.pos,
+            )
+        beta = t.cap
+        for v, tv in delta.items():
+            if v != u:
+                out.append(
+                    Constraint(beta, _ob(sigma, tv, p.pos), f"t-input {name_str(u)}", p.pos)
+                )
+        rest = dict(delta)
+        rest[u] = t.cont
+        rest[Var(p.binder)] = t.payload
+        _check(sigma, gamma, rest, p.body, iota, out)
+        return
+
+    if isinstance(p, Output):
+        u = p.subject
+        t = delta.get(u)
+        if t is None:
+            _fail("SubjectTypeMismatch", f"no binding for {name_str(u)}", p.pos)
+        if not isinstance(t, TOut):
+            _fail(
+                "SubjectTypeMismatch",
+                f"{name_str(u)} : {tc.pretty_type(t)} cannot send",
+                p.pos,
+            )
+        beta = t.cap
+        rest = dict(delta)
+        if isinstance(p.payload, int):
+            if not isinstance(t.payload, Base):
+                _fail(
+                    "SubjectTypeMismatch",
+                    f"{name_str(u)} sends a literal but carries {tc.pretty_type(t.payload)}",
+                    p.pos,
+                )
+        else:
+            tv = rest.pop(p.payload, None)
+            if tv is None:
+                _fail(
+                    "SubjectTypeMismatch",
+                    f"payload {name_str(p.payload)} is not in scope",
+                    p.pos,
+                )
+            if not tc.type_eq(tv, t.payload):
+                _fail(
+                    "SubjectTypeMismatch",
+                    f"payload {name_str(p.payload)} : {tc.pretty_type(tv)} does not match "
+                    f"carried type {tc.pretty_type(t.payload)}",
+                    p.pos,
+                )
+        out.append(
+            Constraint(
+                beta, _ob(sigma, t.payload, p.pos), f"t-output payload of {name_str(u)}", p.pos
+            )
+        )
+        for v, tv in rest.items():
+            if v != u:
+                out.append(
+                    Constraint(beta, _ob(sigma, tv, p.pos), f"t-output {name_str(u)}", p.pos)
+                )
+        rest[u] = t.cont
+        _check(sigma, gamma, rest, p.body, iota, out)
+        return
+
+    if isinstance(p, Par):
+        dl, dr = split_env(delta, p.left, p.right, gamma)
+        _check(sigma, gamma, dl, p.left, iota, out)
+        _check(sigma, gamma, dr, p.right, iota, out)
+        return
+
+    if isinstance(p, New):
+        pos_t = p.pos_type if p.pos_type is not None else End()
+        neg_t = p.neg_type if p.neg_type is not None else tc.syntactic_dual(pos_t)
+        for t in (pos_t, neg_t):
+            ok, viol = tc.well_formed(t)
+            if not ok:
+                _fail("SubjectTypeMismatch", f"annotation on {p.channel}: {viol}", p.pos)
+        if iota == 0:
+            ok, path = tc.dual_strict_path(pos_t, neg_t)
+            if not ok:
+                _fail(
+                    "DualityFailure",
+                    f"types of {p.channel}+ and {p.channel}- are not strictly dual "
+                    f"(mismatch at prefix path {list(path)})",
+                    p.pos,
+                )
+        else:
+            if not tc.dual_full(pos_t, neg_t):
+                _fail(
+                    "DualityFailure",
+                    f"types of {p.channel}+ and {p.channel}- are not dual",
+                    p.pos,
+                )
+        inner = dict(delta)
+        inner[Endpoint(p.channel, "+")] = pos_t
+        inner[Endpoint(p.channel, "-")] = neg_t
+        _check(sigma, gamma, inner, p.body, iota, out)
+        return
+
+    if isinstance(p, Rec):
+        if not p.index <= iota:
+            _fail(
+                "RecShapeMismatch",
+                f"recursion index {p.index} exceeds the judgment index {iota}",
+                p.pos,
+            )
+        opened: dict = {}
+        expected: dict = {}
+        sigma2 = dict(sigma)
+        for u, t in delta.items():
+            if _discardable(t):
+                continue
+            if not isinstance(t, TRec):
+                _fail(
+                    "RecShapeMismatch",
+                    f"{name_str(u)} : {tc.pretty_type(t)} is not recursive at rec[{p.index}]{p.var}",
+                    p.pos,
+                )
+            if t.index != p.index:
+                _fail(
+                    "RecShapeMismatch",
+                    f"{name_str(u)} has recursion index {t.index}, process has {p.index}",
+                    p.pos,
+                )
+            tv = f"{t.var}%{len(sigma2)}"
+            body = tc.subst_type_var(t.body, t.var, TypeVar(tv))
+            sigma2[tv] = _ob(sigma, t.body, p.pos)
+            opened[u] = body
+            expected[u] = TypeVar(tv)
+        gamma2 = dict(gamma)
+        gamma2[p.var] = expected
+        _check(sigma2, gamma2, opened, p.body, iota, out)
+        return
+
+    raise TypeError(p)

@@ -146,6 +146,30 @@ def test_missing_file_exit(capsys):
     assert code == 2
 
 
+def test_unreadable_file_is_a_usage_error(tmp_path, capsys):
+    latin = tmp_path / "latin.ssp"
+    latin.write_bytes("# caf\xe9\nnew a . 0\n".encode("latin-1"))
+    for f in (tmp_path, latin):  # a directory, a file that is not UTF-8
+        code, _, err = run(capsys, "check", f)
+        assert code == 2 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "types, violation",
+    [
+        (("rec[1] t. t", "rec[1] t. t"), "type is not contractive: rec[1] t. t"),
+        (
+            ("![1,2] (?[1,2] t . end) . end", "?[2,1] (?[1,2] t . end) . end"),
+            "payload type is not closed: ?[1,2] t . end",
+        ),
+        (("rec[1] t. ![1,2] int . t", "rec[1] t. rec[1] u. t"), "type is not contractive: rec[1] t. rec[1] u. t"),
+    ],
+)
+def test_dual_rejects_ill_formed_types(types, violation, capsys):
+    code, out, err = run(capsys, "dual", *types)
+    assert code == 2 and out == "" and err == f"error: ill-formed type: {violation}\n"
+
+
 def test_progress_has_no_judgment_index():
     with pytest.raises(SystemExit) as e:
         main(["progress", str(CORPUS / "forwarder.ssp"), "--judgment-index", "0"])
@@ -189,11 +213,11 @@ def test_smallest_bounds_are_accepted(capsys):
     assert code == 3 and "states: 1 " in out
 
 
-def test_deep_nesting_is_a_limit_not_a_reject(tmp_path, capsys):
+def test_deep_nesting_gets_its_verdict(tmp_path, capsys):
     deep = tmp_path / "deep.ssp"
     deep.write_text("new a." + "a+!1." * 5000 + "0")
-    code, _, err = run(capsys, "check", deep)
-    assert code == 3 and "limit" in err
+    code, out, _ = run(capsys, "check", deep)
+    assert code == 1 and out == "reject\n1:7: SubjectTypeMismatch: a+ : end cannot send\n"
 
 
 def test_explore_keeps_a_guarded_restriction_apart(tmp_path, capsys):

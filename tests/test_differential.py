@@ -13,18 +13,30 @@ recursive ones wherever those finish.  The folds, printers and keys of
 the iterative kernel must give what the recursive walkers give on every
 subterm of generated programs, and the type operations on every
 subterm of ``gen_type`` types and their unfoldings and on types of any
-shape, violations and exceptions included.
+shape, violations and exceptions included.  The parser on explicit
+stacks must give the recursive parser's ASTs, positions included, alias
+tables and parse errors, on valid and on broken texts; the worklist
+type checker must give the recursive checker's constraints,
+diagnostics and solutions.
 """
 
 import contextlib
 import itertools
 import json
+import pathlib
 import random
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import reference_walkers as ref
-from sessprog import gen, progress, semantics, syntax
-from sessprog.gen import gen_finite, gen_subst_pair, gen_type, gen_user, gen_well_typed_user
+from sessprog import gen, progress, semantics, syntax, typecheck
+from sessprog.gen import (
+    gen_finite,
+    gen_subst_pair,
+    gen_type,
+    gen_user,
+    gen_well_typed,
+    gen_well_typed_user,
+)
 from sessprog.measure import emeasure, state_measure, vcount
 from sessprog.progress import Truncated, oracle_dynamic
 from sessprog.semantics import (
@@ -65,6 +77,7 @@ from sessprog.syntax import (
     TIn,
     TOut,
     TRec,
+    ParseError,
     TypeVar,
     Var,
     all_idents,
@@ -73,11 +86,15 @@ from sessprog.syntax import (
     free_type_vars,
     children,
     freshen,
+    parse_program,
     pretty_proc,
     pretty_type,
     subst_type_var,
     subterms,
 )
+from sessprog.typecheck import check_closed
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 _PATCHES = (
     (semantics, ("_make_state", "_merge", "canonicalize", "_rename_clashing_news",
@@ -399,3 +416,93 @@ def test_type_substitution_matches_the_recursive_one(monkeypatch):
             assert pretty_type(ours) == pretty_type(theirs)
             renamed += not _binders(theirs) <= _binders(t) | _binders(s)
     assert renamed > 300
+
+
+def _tree(x):
+    """A node as nested tuples of its class and every field, ``pos``
+    included (it is left out of ``==``)."""
+    if is_dataclass(x):
+        return (type(x).__name__, *(_tree(getattr(x, f.name)) for f in fields(x)))
+    return x
+
+
+def _parsed(parser, text, kind):
+    """The AST and alias table a parser class gives for ``text``, or its
+    ``ParseError`` as message, line, column and ``expected``."""
+    try:
+        p = parser(text)
+        if kind == "type":
+            t = p.parse_type()
+            p.expect("eof", what="end of input")
+            return _tree(t)
+        prog = p.parse_program()
+        return _tree(prog.process), {k: _tree(t) for k, t in prog.type_aliases.items()}
+    except ParseError as e:
+        return e.message, e.line, e.col, e.expected
+
+
+def _mutants(rng, text):
+    """Seeded truncations of ``text`` and single edits of it: a deleted,
+    doubled or inserted character, or a deleted span."""
+    cut = rng.randrange(len(text) + 1)
+    yield text[:cut]
+    i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+    yield text[:i] + text[j:]
+    yield text[:i] + text[i:i + 1] + text[i:]
+    for _ in range(3):
+        i = rng.randrange(len(text) + 1)
+        yield text[:i] + rng.choice("?!.|()[],:~+-=0 1aXtypeinfrecnewend") + text[i:]
+
+
+def test_parser_matches_the_recursive_parser(monkeypatch):
+    """The parser on explicit stacks against its recursive reference on
+    ``corpus/``, printed seeded programs and types, alias programs, and
+    seeded truncations and edits of all of them."""
+    monkeypatch.setattr(gen, "_uid", itertools.count())
+    rng = random.Random(29)
+    texts = [(f.read_text(), "program") for f in sorted(CORPUS.glob("*.ssp"))]
+    texts += [(pretty_proc(gen_finite(rng)), "program") for _ in range(150)]
+    texts += [(pretty_proc(gen_user(rng)), "program") for _ in range(150)]
+    texts += [(pretty_proc(gen_well_typed_user(rng)), "program") for _ in range(100)]
+    types = [pretty_type(gen_type(rng, rng.randint(1, 6))) for _ in range(150)]
+    texts += [(t, "type") for t in types]
+    texts += [(f"type A = {t}\ntype B = ( A )\nnew a : B ~ A . 0", "program") for t in types[:50]]
+    texts += [(m, kind) for text, kind in texts for m in _mutants(rng, text)]
+    outcomes = []
+    for text, kind in texts:
+        ours = _parsed(syntax._Parser, text, kind)
+        assert ours == _parsed(ref.RecursiveParser, text, kind), text
+        outcomes.append(isinstance(ours[0], str))
+    assert len(texts) > 3000 and 500 < sum(outcomes) < len(texts) - 500  # both errors and ASTs
+
+
+def test_checker_matches_the_recursive_checker(monkeypatch):
+    """The worklist checker against the recursive ``_check`` at indices
+    0, 1 and inf: constraints with origin and position, diagnostics and
+    solutions, variables in the same order."""
+    rng = random.Random(31)
+    programs = [parse_program(f.read_text()).process for f in sorted(CORPUS.glob("*.ssp"))]
+    programs += [gen_user(rng) for _ in range(300)] + [gen_well_typed_user(rng) for _ in range(150)]
+    programs += [gen_well_typed(rng) for _ in range(150)]
+    types = [gen_type(rng) for _ in range(50)]
+    programs += [New("a", t, s, Idle()) for t in types for s in (t, syntactic_dual(t))]
+    for p in programs[-300:]:  # edits of well-typed programs that still parse
+        for text in _mutants(rng, pretty_proc(p)):
+            with contextlib.suppress(ParseError):
+                programs.append(parse_program(text).process)
+
+    def verdicts():
+        out = []
+        for p in programs:
+            for iota in (0, 1, INF):
+                v = check_closed(p, iota)
+                out.append((v, list(v.assignment.values.items()) if v.assignment else None))
+        return out
+
+    ours = verdicts()
+    with monkeypatch.context() as m:
+        m.setattr(typecheck, "check", ref.check)
+        theirs = verdicts()
+    assert ours == theirs
+    rules = {d.rule for v, _a in ours for d in v.diagnostics}
+    assert sum(v.ok for v, _a in ours) > 300 and len(rules) == 6, rules

@@ -172,19 +172,13 @@ def recursive_functions(paths: list) -> set:
     return found
 
 
-# Every recursive function of the library.  Each recurses once per level
-# of what it walks, so its depth is bounded by the recursion limit.  The
-# folds, maps, printers and keys run on the iterative traversal kernel of
-# ``syntax``; what remains (ROADMAP item 4) is the parser, which needs an
-# operator stack for ``|`` chains, and ``typecheck._check``, which needs a
-# worklist.  ``gen``'s helpers recurse only to the depth they are asked
+# Every recursive function of the library.  The folds, maps, printers
+# and keys run on the iterative traversal kernel of ``syntax``, and the
+# parser and the type checker on explicit stacks, so none of them is
+# bounded by the recursion limit.  What is left are ``gen``'s helpers:
+# they build test corpora and recurse only to the depth they are asked
 # for.  A function that stops recursing leaves this list.
-RECURSIVE = {
-    "gen:gen_finite.go", "gen:gen_subst_pair.go", "gen:gen_type.go",
-    "syntax:_Parser._cont", "syntax:_Parser.parse_prefix", "syntax:_Parser.parse_proc",
-    "syntax:_Parser.parse_type",
-    "typecheck:_check",
-}
+RECURSIVE = {"gen:gen_finite.go", "gen:gen_subst_pair.go", "gen:gen_type.go"}
 
 
 def test_recursion_inventory():
