@@ -9,6 +9,17 @@ threads) can reach a state exposing a complementary prefix on the peer
 endpoint, without re-binding the channel.  Canonical states keep
 channel names globally unique, so the no-re-binding side condition is
 a plain name identity.
+
+The residual search explores only the peer's component: the threads
+linked to the peer's channel through shared free channels, endpoints
+in payload position included.  A thread gains a channel only by
+receiving it over a channel it already shares with the sender, and
+unfolding a recursion adds only fresh restricted channels, so threads
+in different components never interact.  The residual's reachable set
+is the product of its components' reachable sets, and a prefix on the
+peer can only ever be exposed by the peer's component.  The top-level
+search still explores the whole process, so state counts and traces
+are those of the whole process.
 """
 
 from __future__ import annotations
@@ -80,29 +91,45 @@ def verify_static(p: Process) -> ProgressVerdict:
     )
 
 
-def _exposed(s: CanonState):
-    """Top-level endpoint prefixes of a state: (thread index, kind,
-    endpoint)."""
-    for i, t in enumerate(s.threads):
+def _exposed(threads):
+    """Top-level endpoint prefixes of a thread sequence: (thread index,
+    kind, endpoint)."""
+    for i, t in enumerate(threads):
         if isinstance(t, Output) and isinstance(t.subject, Endpoint):
             yield i, "!", t.subject
         elif isinstance(t, Input) and isinstance(t.subject, Endpoint):
             yield i, "?", t.subject
 
-def _residual(s: CanonState, drop: int) -> CanonState:
-    threads = [t for i, t in enumerate(s.threads) if i != drop]
-    return _make_state(s.ann_map(), threads)
+
+def _offers(threads, want_kind: str, peer: Endpoint) -> bool:
+    return any(kind == want_kind and ep == peer for _i, kind, ep in _exposed(threads))
 
 
 def _residual_matches(s: CanonState, drop: int, want_kind: str, peer: Endpoint, budget: int):
     """Can the residual reach a state exposing a ``want_kind`` prefix on
-    ``peer``?  Channel names are globally unique, so no restriction in
-    the residual can re-bind the channel."""
-    r = reachable(_residual(s, drop), max_states=budget)
+    ``peer``?  Only the threads linked to ``peer``'s channel through
+    shared free channels are explored: the others can never interact
+    with them (see the module docstring).  Channel names are globally
+    unique, so no restriction in the residual can re-bind the channel."""
+    rest = [t for i, t in enumerate(s.threads) if i != drop]
+    chans = [{ep.channel for ep in free_names(t)} for t in rest]
+    linked, reached, todo = set(), {peer.channel}, [peer.channel]
+    while todo:
+        c = todo.pop()
+        for i, cs in enumerate(chans):
+            if i not in linked and c in cs:
+                linked.add(i)
+                todo += cs - reached
+                reached |= cs
+    component = [t for i, t in enumerate(rest) if i in linked]
+    if not component:
+        return False, False
+    if _offers(component, want_kind, peer):
+        return True, False
+    r = reachable(_make_state(s.ann_map(), component), max_states=budget)
     for st in r.states.values():
-        for _i, kind, ep in _exposed(st):
-            if kind == want_kind and ep == peer:
-                return True, r.truncated
+        if _offers(st.threads, want_kind, peer):
+            return True, r.truncated
     return False, r.truncated
 
 
@@ -118,7 +145,7 @@ def oracle_dynamic(p: Process, iota: int = 2, max_states: int = 100_000) -> Prog
         raise Truncated(f"more than {max_states} reachable states")
     explored = len(r.states)
     for st in r.states.values():  # insertion order = BFS order
-        for i, kind, ep in _exposed(st):
+        for i, kind, ep in _exposed(st.threads):
             want = "?" if kind == "!" else "!"
             peer = Endpoint(ep.channel, co(ep.polarity))
             ok, trunc = _residual_matches(st, i, want, peer, max_states)

@@ -1,5 +1,5 @@
-"""Shared test utilities: corpus paths and the subject-reduction
-re-typing harness.
+"""Shared test utilities: corpus paths, a wall-clock deadline and the
+subject-reduction re-typing harness.
 
 The subject-reduction property is stated on open processes: a typed
 process that reduces stays typed under some environment reachable by
@@ -13,7 +13,9 @@ one that re-types the successor.
 from __future__ import annotations
 
 import pathlib
+import signal
 from collections import deque
+from contextlib import contextmanager
 
 from sessprog.semantics import CanonState, canonicalize, reachable
 from sessprog.sestypes import syntactic_dual, type_key
@@ -27,6 +29,22 @@ def corpus_process(name: str) -> Process:
     from sessprog.syntax import parse_program
 
     return parse_program((CORPUS / name).read_text()).process
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body after ``seconds`` of wall time."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def ann_delta(state: CanonState) -> dict:

@@ -28,6 +28,10 @@ two use the library's helpers (the token methods, environment
 splitting, type operations), so only the parsing and checking logic is
 compared.
 
+And the progress oracle's residual search as it was before it split on
+channel components: ``_residual_matches`` explores every thread of the
+residual.
+
 Test-only reference: ``tests/test_differential.py`` demands that the
 kernel versions give byte-identical keys, terms, texts and verdicts,
 and equal measures, and identical duality verdicts and mismatch paths
@@ -39,6 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 
+import sessprog.semantics as sem
 import sessprog.typecheck as tc
 from sessprog.measure import InfiniteIndex, _geom_sum
 from sessprog.semantics import CanonState, NotUserProcess
@@ -1233,3 +1238,13 @@ def _check(sigma, gamma, delta, p, iota, out):
         return
 
     raise TypeError(p)
+
+
+def _residual_matches(s: CanonState, drop: int, want_kind: str, peer: Endpoint, budget: int):
+    threads = [t for i, t in enumerate(s.threads) if i != drop]
+    r = sem.reachable(sem._make_state(s.ann_map(), threads), max_states=budget)
+    for st in r.states.values():
+        for t in st.threads:
+            if isinstance(t, Output if want_kind == "!" else Input) and t.subject == peer:
+                return True, r.truncated
+    return False, r.truncated

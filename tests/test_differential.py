@@ -17,7 +17,9 @@ shape, violations and exceptions included.  The parser on explicit
 stacks must give the recursive parser's ASTs, positions included, alias
 tables and parse errors, on valid and on broken texts; the worklist
 type checker must give the recursive checker's constraints,
-diagnostics and solutions.
+diagnostics and solutions.  The oracle, whose residual searches explore
+only the peer's channel component, must give the JSON of the oracle
+that explores every residual thread.
 """
 
 import contextlib
@@ -128,9 +130,9 @@ def test_reachable_keys_match_reference(monkeypatch):
     assert sum(len(keys) for keys, _e, _t in ours) > 1000  # the corpus does reduce
 
 
-def _oracle_json(p):
+def _oracle_json(p, iota=2, max_states=300):
     try:
-        return json.dumps(oracle_dynamic(p, 2, max_states=300).to_json(), sort_keys=True)
+        return json.dumps(oracle_dynamic(p, iota, max_states=max_states).to_json(), sort_keys=True)
     except Truncated as e:
         return f"truncated: {e}"
 
@@ -149,6 +151,29 @@ def test_approximants_and_oracle_match_reference(monkeypatch):
                 q, s = approximant(p, i), approximant(p, j)
                 assert approx_leq(q, s) == ref.approx_leq(q, s)
         assert approx_leq(p, programs[0]) == ref.approx_leq(p, programs[0])
+
+
+def test_oracle_matches_the_full_residual_search(monkeypatch):
+    # each residual search explores only the peer's component, the
+    # reference every thread of the residual; the verdict, trace, state,
+    # prefix and state count must not change
+    corpus = [syntax.parse_program(f.read_text()).process for f in sorted(CORPUS.glob("*.ssp"))]
+    rng = random.Random(55)  # the corpus of criterion 5
+    corpus += [gen_well_typed_user(rng, cells=1) for _ in range(40)]
+    corpus += [gen_well_typed_user(rng, cells=2) for _ in range(10)]
+    corpus += [gen_user(rng, depth=5) for _ in range(50)]
+    rng = random.Random(8)
+    seeded = [gen_well_typed_user(rng, cells=c) for c in (1, 2) for _ in range(20)]
+    seeded += [gen_user(rng, depth=5) for _ in range(40)]
+    cases = [(p, iota) for p in corpus for iota in (1, 2, 3)]
+    cases += [(p, iota) for p in seeded for iota in (1, 2)]
+    ours = [_oracle_json(p, iota, 50_000) for p, iota in cases]
+    with monkeypatch.context() as m:
+        m.setattr(progress, "_residual_matches", ref._residual_matches)
+        theirs = [_oracle_json(p, iota, 50_000) for p, iota in cases]
+    assert ours == theirs
+    assert sum('"violated-dynamic"' in j for j in ours) >= 50
+    assert sum('"holds-dynamic-at-bound"' in j for j in ours) >= 300
 
 
 def _clashing(rng, depth, chans=(), vars_=()):

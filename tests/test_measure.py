@@ -1,11 +1,10 @@
 import random
-import signal
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import deadline
 from sessprog.cli import main
 from sessprog.gen import gen_finite, gen_subst_pair
 from sessprog.measure import (
@@ -70,29 +69,13 @@ def test_infinite_index_names_the_outermost_recursion():
         emeasure(P("rec[inf]X.(rec[inf]Y.Y | rec[inf]Z.Z) | rec[inf]W.W"))
 
 
-@contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in the body after ``seconds`` of wall time."""
-
-    def expire(_signum, _frame):
-        raise TimeoutError(f"not done within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_deep_rec_chain_in_one_walk(tmp_path, capsys):
     # a walk that measures V of a rec body apart from its E takes about
     # 2^200 steps here; the deadline makes that a failure, not a hang
     chain = "".join(f"rec[1]X{i}." for i in range(200)) + "0"
     f = tmp_path / "chain.ssp"
     f.write_text(chain)
-    with _deadline(60):
+    with deadline(60):
         assert emeasure(P(chain)) == 200
         assert main(["measure", str(f)]) == 0
     out = capsys.readouterr().out.splitlines()

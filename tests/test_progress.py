@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_process
-from sessprog.gen import gen_well_typed_user
+from helpers import corpus_process, deadline
+from sessprog.gen import gen_user, gen_well_typed_user
 from sessprog.progress import (
     NotClosed,
     Truncated,
@@ -14,7 +14,7 @@ from sessprog.progress import (
     verify_static,
 )
 from sessprog.semantics import approximant, canonicalize, is_normal_form, reachable
-from sessprog.syntax import parse_process
+from sessprog.syntax import Par, parse_process
 
 
 def test_forwarder_verified_static():
@@ -66,6 +66,36 @@ def test_oracle_truncation():
         oracle_dynamic(p, 6, max_states=4)
 
 
+def test_delegated_endpoint_links_the_residual():
+    # the peer a- of a+! sits in a payload; the receiver of that payload
+    # is linked to a only through b, so linking by subjects alone misses it
+    p = parse_process("new a.new b.(a+!1.0 | b+!a-.0 | b-?(y).y?(x).0)")
+    assert oracle_dynamic(p, 1).status == "holds-dynamic-at-bound"
+
+
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        ("new a.new b.(a+!1.0 | b+!a-.0 | b-?(y).0)", "a+!"),  # a- delegated, never used
+        ("new a.(a+!1.0 | a-!2.0)", "a+!"),  # the peer offers the same kind
+        ("new a.(a+?(x).0 | a-?(y).0)", "a+?"),
+    ],
+)
+def test_residual_violations(text, prefix):
+    v = oracle_dynamic(parse_process(text), 1)
+    assert v.status == "violated-dynamic"
+    assert v.evidence["prefix"] == prefix
+
+
+def test_deadlock_beside_an_independent_cell():
+    # freshening renames the forwarder's a and b, so mutual keeps its names
+    mutual = corpus_process("mutual.ssp")
+    alone = oracle_dynamic(mutual, 2)
+    v = oracle_dynamic(Par(mutual, corpus_process("forwarder.ssp")), 2)
+    assert v.status == alone.status == "violated-dynamic"
+    assert v.evidence["prefix"] == alone.evidence["prefix"] == "a+?"
+
+
 def test_normal_form_shape():
     assert normal_form_shape(canonicalize(parse_process("0")))
     assert normal_form_shape(canonicalize(parse_process("rec[0]X.a+!1.X")))
@@ -98,3 +128,21 @@ def test_stability_on_well_typed_approximants(seed, n):
     for st_ in r.states.values():
         if is_normal_form(st_):
             assert normal_form_shape(st_)
+
+
+def test_static_implies_dynamic_on_larger_programs():
+    # three-cell programs and deeper user programs at a higher index; the
+    # deadline fails the test when the residual searches explore threads
+    # that cannot interact with the peer
+    rng = random.Random(77)
+    cases = [(p, iota) for p in [gen_well_typed_user(rng, cells=3) for _ in range(20)] for iota in (1, 2)]
+    cases += [(gen_user(rng, depth=6), 4) for _ in range(40)]
+    verified = violated = 0
+    with deadline(30):
+        for p, iota in cases:
+            static = verify_static(p).status
+            dynamic = oracle_dynamic(p, iota, max_states=50_000).status
+            verified += static == "verified-static"
+            violated += dynamic == "violated-dynamic"
+            assert not (static == "verified-static" and dynamic == "violated-dynamic"), p
+    assert verified >= 40 and violated > 0
