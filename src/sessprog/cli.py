@@ -2,7 +2,8 @@
 
 Subcommands: check, run, explore, progress, oracle, measure, approx,
 dual.  Exit codes: 0 accept/verified/holds, 1 reject/violated, 2 parse
-or usage error (an unreadable FILE or an ill-formed type included), 3
+or usage error (an unreadable FILE, an ill-formed type, an open program
+or a finite index where a user process is needed included), 3
 internal limit hit (state bound or pair budget).  A ``RecursionError``
 also exits 3, as a safety net: no walk of the library recurses, but
 dataclass ``==``, ``hash`` and ``repr`` on deep nodes still do.
@@ -184,11 +185,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_approx(args) -> int:
     p = _load(args.file)
-    try:
-        q = approximant(p, args.index)
-    except NotUserProcess as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_REJECT
+    q = approximant(p, args.index)
     _emit(args, {"process": pretty_proc(q)}, pretty_proc(q))
     return EXIT_OK
 
@@ -276,7 +273,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, UnicodeDecodeError, NotClosed, NotUserProcess) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (Truncated, DepthExceeded) as e:
@@ -285,9 +282,6 @@ def main(argv=None) -> int:
     except RecursionError:
         print("limit: term nested too deeply for the recursion limit", file=sys.stderr)
         return EXIT_LIMIT
-    except (NotClosed, NotUserProcess) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_REJECT
 
 
 if __name__ == "__main__":

@@ -10,16 +10,16 @@ endpoint, without re-binding the channel.  Canonical states keep
 channel names globally unique, so the no-re-binding side condition is
 a plain name identity.
 
-The residual search explores only the peer's component: the threads
-linked to the peer's channel through shared free channels, endpoints
-in payload position included.  A thread gains a channel only by
-receiving it over a channel it already shares with the sender, and
-unfolding a recursion adds only fresh restricted channels, so threads
-in different components never interact.  The residual's reachable set
-is the product of its components' reachable sets, and a prefix on the
-peer can only ever be exposed by the peer's component.  The top-level
-search still explores the whole process, so state counts and traces
-are those of the whole process.
+Every residual question is answered from the one exploration of the
+whole process.  Let thread i of state s expose a prefix on endpoint e.
+A residual path lifts to a whole-process path on which thread i stays
+idle.  Conversely, thread i can move only by communicating on e, with a
+partner that already offers the complementary prefix on the peer; so a
+whole-process path that moves thread i first passes a state, reached
+without moving it, that offers that prefix.  Hence the residual can
+reach the complementary prefix exactly when s or a state reachable from
+s offers it, and one backward fixpoint over the explored graph answers
+every question.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from .semantics import (
     CanonState,
-    _make_state,
     approximant,
     canonicalize,
     is_user_process,
@@ -66,7 +65,8 @@ class ProgressVerdict:
 
 def _require_closed(p: Process) -> None:
     if free_names(p):
-        raise NotClosed(", ".join(sorted(name_str(n) for n in free_names(p))))
+        names = ", ".join(sorted(name_str(n) for n in free_names(p)))
+        raise NotClosed(f"free names in a closed program: {names}")
 
 
 def verify_static(p: Process) -> ProgressVerdict:
@@ -92,45 +92,50 @@ def verify_static(p: Process) -> ProgressVerdict:
 
 
 def _exposed(threads):
-    """Top-level endpoint prefixes of a thread sequence: (thread index,
-    kind, endpoint)."""
-    for i, t in enumerate(threads):
+    """Top-level endpoint prefixes of a thread sequence: (kind, endpoint)."""
+    for t in threads:
         if isinstance(t, Output) and isinstance(t.subject, Endpoint):
-            yield i, "!", t.subject
+            yield "!", t.subject
         elif isinstance(t, Input) and isinstance(t.subject, Endpoint):
-            yield i, "?", t.subject
+            yield "?", t.subject
 
 
-def _offers(threads, want_kind: str, peer: Endpoint) -> bool:
-    return any(kind == want_kind and ep == peer for _i, kind, ep in _exposed(threads))
+def _numbering(s: CanonState) -> dict:
+    """Each hoisted channel of ``s`` -> its number in the canonical key."""
+    return {c: n for n, (c, _pos, _neg) in enumerate(s.anns)}
 
 
-def _residual_matches(s: CanonState, drop: int, want_kind: str, peer: Endpoint, budget: int):
-    """Can the residual reach a state exposing a ``want_kind`` prefix on
-    ``peer``?  Only the threads linked to ``peer``'s channel through
-    shared free channels are explored: the others can never interact
-    with them (see the module docstring).  Channel names are globally
-    unique, so no restriction in the residual can re-bind the channel."""
-    rest = [t for i, t in enumerate(s.threads) if i != drop]
-    chans = [{ep.channel for ep in free_names(t)} for t in rest]
-    linked, reached, todo = set(), {peer.channel}, [peer.channel]
+def _reachable_exposures(r) -> dict:
+    """Key -> the prefixes exposed by that state or by one reachable from
+    it, as (kind, channel number, polarity) in the key's numbering.  Equal
+    keys may name their channels differently, so each edge translates
+    through its successor object, which names channels as the edge's
+    source does.  The graph may be cyclic: a state is queued again only
+    when its set grows."""
+    exposures, preds = {}, {}
+    for key, st in r.states.items():
+        number = _numbering(st)
+        exposures[key] = {(kind, number[ep.channel], ep.polarity) for kind, ep in _exposed(st.threads)}
+    for st, _label, succ in r.edges:
+        number = _numbering(st)
+        across = {n: number[c] for n, (c, _pos, _neg) in enumerate(succ.anns) if c in number}
+        preds.setdefault(succ.key, []).append((st.key, across))
+    todo = list(exposures)
     while todo:
-        c = todo.pop()
-        for i, cs in enumerate(chans):
-            if i not in linked and c in cs:
-                linked.add(i)
-                todo += cs - reached
-                reached |= cs
-    component = [t for i, t in enumerate(rest) if i in linked]
-    if not component:
-        return False, False
-    if _offers(component, want_kind, peer):
-        return True, False
-    r = reachable(_make_state(s.ann_map(), component), max_states=budget)
-    for st in r.states.values():
-        if _offers(st.threads, want_kind, peer):
-            return True, r.truncated
-    return False, r.truncated
+        key = todo.pop()
+        for pred, across in preds.get(key, ()):
+            grown = {(kind, across[n], pol) for kind, n, pol in exposures[key] if n in across}
+            if not grown <= exposures[pred]:
+                exposures[pred] |= grown
+                todo.append(pred)
+    return exposures
+
+
+def _residual_matches(exposures: dict, s: CanonState, want_kind: str, peer: Endpoint) -> bool:
+    """Can the residual of ``s`` reach a state exposing a ``want_kind``
+    prefix on ``peer``?  Exactly when ``s`` or a state reachable from it
+    does (see the module docstring)."""
+    return (want_kind, _numbering(s)[peer.channel], peer.polarity) in exposures[s.key]
 
 
 def oracle_dynamic(p: Process, iota: int = 2, max_states: int = 100_000) -> ProgressVerdict:
@@ -144,14 +149,11 @@ def oracle_dynamic(p: Process, iota: int = 2, max_states: int = 100_000) -> Prog
     if r.truncated:
         raise Truncated(f"more than {max_states} reachable states")
     explored = len(r.states)
+    exposures = _reachable_exposures(r)
     for st in r.states.values():  # insertion order = BFS order
-        for i, kind, ep in _exposed(st.threads):
+        for kind, ep in _exposed(st.threads):
             want = "?" if kind == "!" else "!"
-            peer = Endpoint(ep.channel, co(ep.polarity))
-            ok, trunc = _residual_matches(st, i, want, peer, max_states)
-            if trunc and not ok:
-                raise Truncated(f"more than {max_states} residual states")
-            if not ok:
+            if not _residual_matches(exposures, st, want, Endpoint(ep.channel, co(ep.polarity))):
                 return ProgressVerdict(
                     status="violated-dynamic",
                     evidence={

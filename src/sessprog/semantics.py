@@ -67,8 +67,9 @@ class CanonState:
     key: str
     channels: tuple = field(compare=False)
     threads: tuple = field(compare=False)
-    # channel -> (pos_type|None, neg_type|None); informational, kept for
-    # rebuilding processes and for the typing harness
+    # (channel, pos_type|None, neg_type|None) in the order of the channel
+    # numbers of ``key``, for rebuilding processes, the typing harness and
+    # translating the oracle's prefixes between states with equal keys
     anns: tuple = field(compare=False, default=())
 
     def ann_map(self) -> dict:
@@ -157,7 +158,7 @@ def _make_state(chan_anns: dict, threads: list) -> CanonState:
         key=f"nu[{len(chans)}] " + " || ".join(keys),
         channels=tuple(sorted(chans)),
         threads=tuple(t for t, _pieces in sers),
-        anns=tuple((c, *chans[c]) for c in sorted(chans)),
+        anns=tuple((c, *chans[c]) for c in chan_map),
     )
 
 

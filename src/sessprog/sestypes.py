@@ -51,14 +51,14 @@ class Violation:
         return f"{self.reason}: {pretty_type(self.subterm)}"
 
 
-def well_formed(t: SessionType, allow_free=()) -> tuple[bool, Violation | None]:
+def well_formed(t: SessionType) -> tuple[bool, Violation | None]:
     """Check contractivity (no rec t1..rec tn.t1 chains), stratification
     (payload types closed) and that free type variables are declared."""
     todo = [(t, frozenset())]  # subterms to check, each with its bound variables
     while todo:
         u, bound = todo.pop()
         if isinstance(u, TypeVar):
-            if u.ident not in bound and u.ident not in allow_free:
+            if u.ident not in bound:
                 return False, Violation("unbound type variable", u)
         elif isinstance(u, (TIn, TOut)):
             if free_type_vars(u.payload):

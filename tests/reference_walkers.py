@@ -28,9 +28,10 @@ two use the library's helpers (the token methods, environment
 splitting, type operations), so only the parsing and checking logic is
 compared.
 
-And the progress oracle's residual search as it was before it split on
-channel components: ``_residual_matches`` explores every thread of the
-residual.
+And the progress oracle as it was before it answered every residual
+question from its one exploration: ``oracle_dynamic`` explores the
+approximant and then runs, for each exposed prefix, a fresh search
+(``_residual_matches``) over every thread of the residual.
 
 Test-only reference: ``tests/test_differential.py`` demands that the
 kernel versions give byte-identical keys, terms, texts and verdicts,
@@ -43,6 +44,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 
+import sessprog.progress as prog
 import sessprog.semantics as sem
 import sessprog.typecheck as tc
 from sessprog.measure import InfiniteIndex, _geom_sum
@@ -78,6 +80,7 @@ from sessprog.syntax import (
     _ident_of,
     _Parser,
     _pos,
+    co,
     name_str,
     pri_str,
 )
@@ -328,7 +331,7 @@ def _make_state(chan_anns: dict, threads: list) -> CanonState:
         key=key,
         channels=tuple(sorted(chans)),
         threads=tuple(threads),
-        anns=tuple((c, *chans[c]) for c in sorted(chans)),
+        anns=tuple((c, *chans[c]) for c in occ),
     )
 
 
@@ -1248,3 +1251,36 @@ def _residual_matches(s: CanonState, drop: int, want_kind: str, peer: Endpoint, 
             if isinstance(t, Output if want_kind == "!" else Input) and t.subject == peer:
                 return True, r.truncated
     return False, r.truncated
+
+
+def oracle_dynamic(p: Process, iota: int = 2, max_states: int = 100_000):
+    prog._require_closed(p)
+    q = sem.approximant(p, iota) if sem.is_user_process(p) else p
+    r = sem.reachable(sem.canonicalize(q), max_states=max_states)
+    if r.truncated:
+        raise prog.Truncated(f"more than {max_states} reachable states")
+    explored = len(r.states)
+    for st in r.states.values():
+        for i, t in enumerate(st.threads):
+            if not isinstance(t, (Input, Output)) or not isinstance(t.subject, Endpoint):
+                continue
+            kind = "!" if isinstance(t, Output) else "?"
+            peer = Endpoint(t.subject.channel, co(t.subject.polarity))
+            ok, trunc = _residual_matches(st, i, "?" if kind == "!" else "!", peer, max_states)
+            if trunc and not ok:
+                raise prog.Truncated(f"more than {max_states} residual states")
+            if not ok:
+                return prog.ProgressVerdict(
+                    status="violated-dynamic",
+                    evidence={
+                        "trace": [lab.describe() for lab in sem.trace_to(r, st.key)],
+                        "state": pretty_proc(sem.state_to_process(st)),
+                        "prefix": f"{name_str(t.subject)}{kind}",
+                    },
+                    states_explored=explored,
+                )
+    return prog.ProgressVerdict(
+        status="holds-dynamic-at-bound",
+        evidence={"approxIndex": iota},
+        states_explored=explored,
+    )

@@ -154,6 +154,23 @@ def test_unreadable_file_is_a_usage_error(tmp_path, capsys):
         assert code == 2 and err.startswith("error: "), err
 
 
+@pytest.mark.parametrize("command", ["progress", "oracle"])
+def test_an_open_program_is_a_usage_error(command, tmp_path, capsys):
+    # exit 1 would say the program has no progress
+    f = tmp_path / "open.ssp"
+    f.write_text("a+!1.0 | b-?(x).0")
+    code, out, err = run(capsys, command, f)
+    assert code == 2 and out == "" and err == "error: free names in a closed program: a+, b-\n"
+
+
+@pytest.mark.parametrize("argv", [["approx", "2"], ["progress"]])
+def test_a_finite_index_where_a_user_process_is_needed_is_a_usage_error(argv, tmp_path, capsys):
+    f = tmp_path / "finite.ssp"
+    f.write_text("new a.(rec[2]X.a+!1.X | rec[inf]Y.a-?(x).Y)")
+    code, out, err = run(capsys, argv[0], f, *argv[1:])
+    assert code == 2 and out == "" and err == "error: finite recursion index in a user process\n"
+
+
 @pytest.mark.parametrize(
     "types, violation",
     [

@@ -1,10 +1,13 @@
 """Hygiene of the library: every import sits at module level and every
 imported name is used (``__init__.py`` re-exports names, so only the
 placement rule applies to it), every module-level function and class
-is used somewhere outside its own body, and the recursive functions are
-the ones pinned in ``RECURSIVE``."""
+is used somewhere outside its own body, the recursive functions are
+the ones pinned in ``RECURSIVE``, and every function the benchmark's
+tracer wraps by name exists."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 from collections import Counter
 
@@ -199,3 +202,24 @@ def test_the_inventory_catches_each_kind_of_recursion(tmp_path):
     assert recursive_functions([lib]) == {
         "lib:walk", "lib:even", "lib:odd", "lib:outer.go", "lib:P.a", "lib:P.b",
     }
+
+
+def tracer_targets(path: pathlib.Path) -> tuple:
+    """The ``TARGETS`` tuple of the benchmark's tracer, read without
+    running the tracer module."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no TARGETS in {path}")
+
+
+def test_every_traced_function_exists():
+    # the traced benchmark run replaces sessprog.<module>.<attribute> with a
+    # wrapper and stops at the first one that is missing
+    targets = tracer_targets(REPO / "bench" / "tracer.py")
+    assert len(targets) >= 10
+    missing = [
+        f"{module}.{attr}" for module, attr, _span in targets
+        if not inspect.isfunction(getattr(importlib.import_module(f"sessprog.{module}"), attr, None))
+    ]
+    assert missing == []

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import corpus_process, deadline
+from sessprog import progress
 from sessprog.gen import gen_user, gen_well_typed_user
 from sessprog.progress import (
     NotClosed,
@@ -67,8 +68,8 @@ def test_oracle_truncation():
 
 
 def test_delegated_endpoint_links_the_residual():
-    # the peer a- of a+! sits in a payload; the receiver of that payload
-    # is linked to a only through b, so linking by subjects alone misses it
+    # the peer a- of a+! sits in a payload; its receiver offers a-? only
+    # after the exchange on b
     p = parse_process("new a.new b.(a+!1.0 | b+!a-.0 | b-?(y).y?(x).0)")
     assert oracle_dynamic(p, 1).status == "holds-dynamic-at-bound"
 
@@ -94,6 +95,48 @@ def test_deadlock_beside_an_independent_cell():
     v = oracle_dynamic(Par(mutual, corpus_process("forwarder.ssp")), 2)
     assert v.status == alone.status == "violated-dynamic"
     assert v.evidence["prefix"] == alone.evidence["prefix"] == "a+?"
+
+
+def test_symmetric_cells_keep_their_own_channels():
+    # the two cells' channels swap roles between states with equal keys,
+    # so a prefix carried across an edge by raw name lands on the wrong cell
+    p = corpus_process("forwarder.ssp")
+    for iota in (1, 2):
+        assert oracle_dynamic(Par(p, p), iota).status == "holds-dynamic-at-bound"
+
+
+def test_mixed_indices_are_explored_as_they_are():
+    v = oracle_dynamic(parse_process("new a.(rec[inf]X.a+!1.X | rec[2]Y.a-?(x).Y)"), 1)
+    assert v.status == "violated-dynamic"
+    assert v.evidence["prefix"] == "a+!"
+    assert v.evidence["trace"] == [
+        "rec @0", "rec @1", "comm a ! 1", "rec @0", "rec @1", "comm a ! 1", "rec @1",
+    ]
+
+
+def test_prefixes_travel_around_a_cycle():
+    # the forwarder keeps its infinite indices beside a finite one, so its
+    # graph returns to the initial state; the peers of some prefixes are
+    # offered only after the way back
+    p = Par(corpus_process("forwarder.ssp"), parse_process("rec[0]Z.0"))
+    s0 = canonicalize(p)
+    assert any(succ.key == s0.key for _st, _label, succ in reachable(s0).edges)
+    v = oracle_dynamic(p, 1)
+    assert v.status == "holds-dynamic-at-bound" and v.states_explored == 12
+
+
+def test_one_exploration_per_verdict(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reachable(*args, **kwargs)
+
+    monkeypatch.setattr(progress, "reachable", counted)
+    texts = ["mutual.ssp", "forwarder.ssp", "orphan.ssp", "self.ssp"]
+    statuses = {oracle_dynamic(corpus_process(t), 2).status for t in texts}
+    assert statuses == {"violated-dynamic", "holds-dynamic-at-bound"}
+    assert len(calls) == len(texts)
 
 
 def test_normal_form_shape():
@@ -131,9 +174,8 @@ def test_stability_on_well_typed_approximants(seed, n):
 
 
 def test_static_implies_dynamic_on_larger_programs():
-    # three-cell programs and deeper user programs at a higher index; the
-    # deadline fails the test when the residual searches explore threads
-    # that cannot interact with the peer
+    # three-cell programs and deeper user programs at a higher index,
+    # under a deadline on the whole pass
     rng = random.Random(77)
     cases = [(p, iota) for p in [gen_well_typed_user(rng, cells=3) for _ in range(20)] for iota in (1, 2)]
     cases += [(gen_user(rng, depth=6), 4) for _ in range(40)]

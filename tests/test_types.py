@@ -48,8 +48,6 @@ def test_unstratified_payload():
 def test_unbound_type_var():
     ok, v = well_formed(T("?[0,1] int . t"))
     assert not ok and "unbound" in v.reason
-    ok, _ = well_formed(T("?[0,1] int . t"), allow_free=("t",))
-    assert ok
 
 
 def test_unfold_decrements():
