@@ -18,7 +18,7 @@ import random
 import sys
 
 from .measure import InfiniteIndex, measures
-from .progress import NotClosed, Truncated, oracle_dynamic, verify_static
+from .progress import Truncated, oracle_dynamic, verify_static
 from .semantics import (
     NotUserProcess,
     approximant,
@@ -40,7 +40,7 @@ from .syntax import (
     pretty_proc,
     subterms,
 )
-from .typecheck import check_closed
+from .typecheck import NotClosed, check_closed
 
 EXIT_OK = 0
 EXIT_REJECT = 1

@@ -1,9 +1,12 @@
 """Seeded random generators: arbitrary closed finite processes for the
-measure properties, a combinator-built corpus of well-typed closed
-processes for subject reduction and the soundness cross-check, and
-substitution pairs for the measure substitution law.
+measure properties, a corpus of well-typed closed processes built from
+cells written in the concrete syntax, for subject reduction and the
+soundness cross-check, and substitution pairs for the measure
+substitution law.
 
-All generators take a ``random.Random`` so corpora are reproducible.
+All generators take a ``random.Random``; fresh names come from the
+module-level counter ``_uid``, so a corpus is reproducible from its seed
+in a fresh interpreter (or with ``_uid`` reset).
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .syntax import (
     TRec,
     TypeVar,
     Var,
+    parse_process,
+    pri_str,
     rewrite,
 )
 
@@ -118,103 +123,42 @@ def gen_type(rng: random.Random, depth: int = 4) -> SessionType:
 
 
 # ---------------------------------------------------------------------------
-# Well-typed combinator cells.  Each cell is a closed process that checks
-# on its own with fresh symbolic priorities; disjoint cells compose in
-# parallel because their constraint sets share no variables.
+# Well-typed cells.  Each cell is a closed process that checks on its own
+# with fresh symbolic priorities; disjoint cells compose in parallel
+# because their constraint sets share no variables.  A cell is written in
+# the concrete syntax, as its fields in draw order and its text; ``{i}``
+# is the recursion index.
+
+_CELLS = (
+    ("a p1 p2 n x", "new {a} : ![{p1},{p2}] int . end . ({a}+!{n}.0 | {a}-?({x}).0)"),
+    ("a p1 p2 p3 p4 x n y", "new {a} : ![{p1},{p2}] int . ?[{p3},{p4}] int . end ."
+     " ({a}+!{n}.{a}+?({y}).0 | {a}-?({x}).{a}-!{x}.0)"),
+    ("a t p1 p2 X Y n x", "new {a} : rec[{i}] {t}. ![{p1},{p2}] int . {t} ."
+     " (rec[{i}] {X}.{a}+!{n}.{X} | rec[{i}] {Y}.{a}-?({x}).{Y})"),
+    ("a b c t1 p1 p2 t2 p3 p4 X Y Z x y", "new {a} : rec[{i}] {t1}. ![{p1},{p2}] end . {t1} ."
+     " new {b} : rec[{i}] {t2}. ![{p3},{p4}] end . {t2} . (rec[{i}] {X}.{a}-?({x}).{b}+!{x}.{X}"
+     " | rec[{i}] {Y}.new {c}.{a}+!{c}+.{Y} | rec[{i}] {Z}.{b}-?({y}).{Z})"),
+    ("a b p1 p2 p3 p4 x n y", "new {a} : ![{p3},{p4}] (![{p1},{p2}] int . end) . end ."
+     " new {b} : ![{p1},{p2}] int . end . ({a}+!{b}+.0 | {a}-?({x}).{x}!{n}.0 | {b}-?({y}).0)"),
+)
 
 
-def _cell_send(rng, index) -> Process:
-    a = _fresh("a")
-    t = TOut(_fresh("p"), _fresh("p"), Base(), End())
-    return New(
-        a,
-        t,
-        None,
-        Par(
-            Output(Endpoint(a, "+"), rng.randint(0, 9), Idle()),
-            Input(Endpoint(a, "-"), _fresh("x"), Idle()),
-        ),
-    )
-
-
-def _cell_two_step(rng, index) -> Process:
-    a = _fresh("a")
-    t = TOut(_fresh("p"), _fresh("p"), Base(), TIn(_fresh("p"), _fresh("p"), Base(), End()))
-    x = _fresh("x")
-    return New(
-        a,
-        t,
-        None,
-        Par(
-            Output(Endpoint(a, "+"), rng.randint(0, 9), Input(Endpoint(a, "+"), _fresh("y"), Idle())),
-            Input(Endpoint(a, "-"), x, Output(Endpoint(a, "-"), Var(x), Idle())),
-        ),
-    )
-
-
-def _cell_loop(rng, index) -> Process:
-    a = _fresh("a")
-    tv = _fresh("t")
-    t = TRec(index, tv, TOut(_fresh("p"), _fresh("p"), Base(), TypeVar(tv)))
-    x, y = _fresh("X"), _fresh("Y")
-    return New(
-        a,
-        t,
-        None,
-        Par(
-            Rec(index, x, Output(Endpoint(a, "+"), rng.randint(0, 9), ProcVar(x))),
-            Rec(index, y, Input(Endpoint(a, "-"), _fresh("x"), ProcVar(y))),
-        ),
-    )
-
-
-def _cell_forwarder(rng, index) -> Process:
-    a, b, c = _fresh("a"), _fresh("b"), _fresh("c")
-    ta = TRec(index, _fresh("t"), None)
-    tav = TOut(_fresh("p"), _fresh("p"), End(), TypeVar(ta.var))
-    ta = TRec(index, ta.var, tav)
-    tb = TRec(index, _fresh("t"), None)
-    tbv = TOut(_fresh("p"), _fresh("p"), End(), TypeVar(tb.var))
-    tb = TRec(index, tb.var, tbv)
-    x, y, z, v = _fresh("X"), _fresh("Y"), _fresh("Z"), _fresh("x")
-    fwd = Rec(index, x, Input(Endpoint(a, "-"), v, Output(Endpoint(b, "+"), Var(v), ProcVar(x))))
-    prod = Rec(index, y, New(c, None, None, Output(Endpoint(a, "+"), Endpoint(c, "+"), ProcVar(y))))
-    cons = Rec(index, z, Input(Endpoint(b, "-"), _fresh("y"), ProcVar(z)))
-    return New(a, ta, None, New(b, tb, None, Par(fwd, Par(prod, cons))))
-
-
-def _cell_delegate(rng, index) -> Process:
-    a, b = _fresh("a"), _fresh("b")
-    s = TOut(_fresh("p"), _fresh("p"), Base(), End())
-    t = TOut(_fresh("p"), _fresh("p"), s, End())
-    x = _fresh("x")
-    return New(
-        a,
-        t,
-        None,
-        New(
-            b,
-            s,
-            None,
-            Par(
-                Output(Endpoint(a, "+"), Endpoint(b, "+"), Idle()),
-                Par(
-                    Input(Endpoint(a, "-"), x, Output(Var(x), rng.randint(0, 9), Idle())),
-                    Input(Endpoint(b, "-"), _fresh("y"), Idle()),
-                ),
-            ),
-        ),
-    )
-
-
-_CELLS = [_cell_send, _cell_two_step, _cell_loop, _cell_forwarder, _cell_delegate]
+def _cell(rng: random.Random, cell: tuple, index) -> Process:
+    """Parse ``cell`` at recursion index ``index``, drawing its fields in
+    the listed order: ``n`` is a payload from ``rng``, any other field a
+    fresh name on its first letter (``p1`` -> ``p7``).  The nodes carry
+    ``pos`` into the cell's own text; ``pos`` is informational and
+    excluded from ``==`` and ``hash``."""
+    order, text = cell
+    fields = {f: rng.randint(0, 9) if f == "n" else _fresh(f[0]) for f in order.split()}
+    return parse_process(text.format(i=pri_str(index), **fields))
 
 
 def gen_well_typed(rng: random.Random, max_index: int = 3, cells: int | None = None) -> Process:
     """A closed finite process that type-checks: a parallel composition
     of independent well-typed cells."""
     n = cells if cells is not None else rng.randint(1, 3)
-    parts = [rng.choice(_CELLS)(rng, rng.randint(0, max_index)) for _ in range(n)]
+    parts = [_cell(rng, rng.choice(_CELLS), rng.randint(0, max_index)) for _ in range(n)]
     return functools.reduce(Par, parts)
 
 
@@ -222,7 +166,7 @@ def gen_well_typed_user(rng: random.Random, cells: int | None = None) -> Process
     """A closed user process (all indices infinite) that passes the
     static progress verifier."""
     n = cells if cells is not None else rng.randint(1, 3)
-    return functools.reduce(Par, [rng.choice(_CELLS)(rng, INF) for _ in range(n)])
+    return functools.reduce(Par, [_cell(rng, rng.choice(_CELLS), INF) for _ in range(n)])
 
 
 def gen_user(rng: random.Random, depth: int = 6) -> Process:

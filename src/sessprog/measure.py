@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import CanonState, RedexLabel, canonicalize, reachable
+from .semantics import CanonState, RedexLabel, Truncated, canonicalize, reachable
 from .syntax import INF, Input, Output, Par, Process, ProcVar, Rec, fold, subterms
 
 
@@ -111,7 +111,7 @@ def longest_path(p: Process, max_states: int = 100_000) -> int:
     s0 = canonicalize(p)
     r = reachable(s0, max_states=max_states)
     if r.truncated:
-        raise RuntimeError("state bound hit; longest path not determined")
+        raise Truncated(f"more than {max_states} reachable states")
     succs: dict = {k: [] for k in r.states}
     for st, _label, succ in r.edges:
         succs[st.key].append(succ.key)

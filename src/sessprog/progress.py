@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from .semantics import (
     CanonState,
+    Truncated,
     approximant,
     canonicalize,
     is_user_process,
@@ -35,16 +36,8 @@ from .semantics import (
     state_to_process,
     trace_to,
 )
-from .syntax import Endpoint, Input, Output, Process, Rec, co, free_names, name_str, pretty_proc
-from .typecheck import check_closed
-
-
-class NotClosed(Exception):
-    pass
-
-
-class Truncated(Exception):
-    """The state bound was hit before the verdict was decided."""
+from .syntax import Endpoint, Input, Output, Process, Rec, co, name_str, pretty_proc
+from .typecheck import check_closed, require_closed
 
 
 @dataclass
@@ -63,19 +56,11 @@ class ProgressVerdict:
         }
 
 
-def _require_closed(p: Process) -> None:
-    if free_names(p):
-        names = ", ".join(sorted(name_str(n) for n in free_names(p)))
-        raise NotClosed(f"free names in a closed program: {names}")
-
-
 def verify_static(p: Process) -> ProgressVerdict:
     """Sound but incomplete: type-check the 0-approximant at judgment
     index 0 (strict duality at restrictions).  Acceptance proves
     progress; rejection proves nothing."""
-    _require_closed(p)
-    q = approximant(p, 0)
-    verdict = check_closed(q, 0)
+    verdict = check_closed(approximant(p, 0), 0)
     if verdict.ok:
         assignment = verdict.assignment
         return ProgressVerdict(
@@ -102,7 +87,7 @@ def _exposed(threads):
 
 def _numbering(s: CanonState) -> dict:
     """Each hoisted channel of ``s`` -> its number in the canonical key."""
-    return {c: n for n, (c, _pos, _neg) in enumerate(s.anns)}
+    return {c: n for n, c in enumerate(s.anns)}
 
 
 def _reachable_exposures(r) -> dict:
@@ -118,7 +103,7 @@ def _reachable_exposures(r) -> dict:
         exposures[key] = {(kind, number[ep.channel], ep.polarity) for kind, ep in _exposed(st.threads)}
     for st, _label, succ in r.edges:
         number = _numbering(st)
-        across = {n: number[c] for n, (c, _pos, _neg) in enumerate(succ.anns) if c in number}
+        across = {n: number[c] for n, c in enumerate(succ.anns) if c in number}
         preds.setdefault(succ.key, []).append((st.key, across))
     todo = list(exposures)
     while todo:
@@ -142,7 +127,7 @@ def oracle_dynamic(p: Process, iota: int = 2, max_states: int = 100_000) -> Prog
     """Decide the progress property exhaustively on the finite
     approximant at index ``iota`` (the process itself if its indices are
     already finite)."""
-    _require_closed(p)
+    require_closed(p)
     q = approximant(p, iota) if is_user_process(p) else p
     s0 = canonicalize(q)
     r = reachable(s0, max_states=max_states)

@@ -5,8 +5,11 @@ approximation preorder.
 A canonical state is a flat multiset of sequential threads under one
 block of hoisted restrictions.  Two states are equal iff their sorted
 serializations (with bound names de-Bruijn-renumbered and restricted
-channels renumbered by first occurrence) coincide, which decides
-structural congruence on the hoisted fragment.
+channels renumbered by first occurrence) coincide.  Equal keys imply
+structural congruence, but not the converse: the sort still sees the
+names of hoisted channels, so congruent states can get different keys
+(``rec[3] X.(new a.(a+!a-.new b.X | X) | X)`` reaches 14 states and its
+``|``-mirror 26).
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ class NotUserProcess(Exception):
     pass
 
 
+class Truncated(Exception):
+    """The state bound was hit before the answer was decided."""
+
+
 @dataclass(frozen=True)
 class RedexLabel:
     kind: str  # "comm" | "rec"
@@ -65,15 +72,11 @@ class RedexLabel:
 @dataclass(frozen=True)
 class CanonState:
     key: str
-    channels: tuple = field(compare=False)
     threads: tuple = field(compare=False)
-    # (channel, pos_type|None, neg_type|None) in the order of the channel
+    # channel -> (pos_type|None, neg_type|None) in the order of the channel
     # numbers of ``key``, for rebuilding processes, the typing harness and
     # translating the oracle's prefixes between states with equal keys
-    anns: tuple = field(compare=False, default=())
-
-    def ann_map(self) -> dict:
-        return {c: (t, s) for c, t, s in self.anns}
+    anns: dict = field(compare=False)
 
     def __repr__(self):
         return f"CanonState({pretty_proc(state_to_process(self))!r})"
@@ -156,9 +159,8 @@ def _make_state(chan_anns: dict, threads: list) -> CanonState:
     )
     return CanonState(
         key=f"nu[{len(chans)}] " + " || ".join(keys),
-        channels=tuple(sorted(chans)),
         threads=tuple(t for t, _pieces in sers),
-        anns=tuple((c, *chans[c]) for c in chan_map),
+        anns={c: chans[c] for c in chan_map},
     )
 
 
@@ -195,10 +197,8 @@ def state_to_process(s: CanonState) -> Process:
         body = s.threads[-1]
         for t in reversed(s.threads[:-1]):
             body = Par(t, body)
-    anns = s.ann_map()
-    for c in reversed(s.channels):
-        pos_t, neg_t = anns[c]
-        body = New(c, pos_t, neg_t, body)
+    for c in sorted(s.anns, reverse=True):
+        body = New(c, *s.anns[c], body)
     return body
 
 
@@ -278,10 +278,9 @@ def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
     between complementary prefixes on peer endpoints, and unfoldings of
     recursions with nonzero index (decremented unless infinite)."""
     out = []
-    used = set(s.channels)
+    used = set(s.anns)
     for t in s.threads:
         used |= all_idents(t)
-    anns = s.ann_map()
 
     for i, t in enumerate(s.threads):
         if isinstance(t, Rec) and t.index > 0:
@@ -293,7 +292,7 @@ def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
             threads = list(s.threads)
             threads[i] = body
             label = RedexLabel("rec", (i,))
-            out.append((label, _merge(anns, threads)))
+            out.append((label, _merge(s.anns, threads)))
 
     for i, t in enumerate(s.threads):
         if not isinstance(t, Output) or not isinstance(t.subject, Endpoint):
@@ -311,7 +310,7 @@ def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
             threads[i] = t.body
             threads[j] = recv
             label = RedexLabel("comm", (i, j), channel=a.channel, payload=t.payload)
-            out.append((label, _merge(anns, threads)))
+            out.append((label, _merge(s.anns, threads)))
 
     out.sort(key=lambda lr: (lr[0].kind, lr[0].positions))
     return out

@@ -472,14 +472,19 @@ def check_open(delta: dict, p: Process, iota) -> ClosedVerdict:
     return ClosedVerdict(True, res.constraints, [], sol)
 
 
-def check_closed(program: Program | Process, iota) -> ClosedVerdict:
-    p = program.process if isinstance(program, Program) else program
-    fv = [n for n in free_names(p)]
+class NotClosed(Exception):
+    """A program that must be closed has free names."""
+
+
+def require_closed(p: Process) -> None:
+    fv = free_names(p)
     if fv:
-        diag = Diagnostic(
-            rule="SubjectTypeMismatch",
-            message="free names in a closed program: "
-            + ", ".join(sorted(name_str(n) for n in fv)),
-        )
-        return ClosedVerdict(False, [], [diag], None)
+        names = ", ".join(sorted(name_str(n) for n in fv))
+        raise NotClosed(f"free names in a closed program: {names}")
+
+
+def check_closed(program: Program | Process, iota) -> ClosedVerdict:
+    """Check a closed program; an open one raises ``NotClosed``."""
+    p = program.process if isinstance(program, Program) else program
+    require_closed(p)
     return check_open({}, p, iota)

@@ -50,7 +50,7 @@ def deadline(seconds):
 def ann_delta(state: CanonState) -> dict:
     """Name environment induced by the hoisted restriction annotations."""
     d = {}
-    for c, tp, tn in state.anns:
+    for c, (tp, tn) in state.anns.items():
         tp = tp if tp is not None else End()
         tn = tn if tn is not None else syntactic_dual(tp)
         d[Endpoint(c, "+")] = tp
@@ -75,7 +75,7 @@ def _key(d: dict) -> tuple:
 def find_delta(start: dict, state: CanonState, iota, limit: int):
     """Breadth-first search over context_reduce from ``start`` for an
     environment typing the state's thread composition."""
-    live = set(state.channels)
+    live = set(state.anns)
     base = {u: t for u, t in start.items() if u.channel in live}
     for u, t in ann_delta(state).items():
         base.setdefault(u, t)
@@ -99,7 +99,7 @@ def subject_reduction_holds(p: Process, iota=INF, max_states: int = 20_000):
     """Every reachable state re-types under an environment obtained from
     its parent's by a few context reductions.  Returns (ok, reason)."""
     s0 = canonicalize(p)
-    d0 = find_delta(ann_delta(s0), s0, iota, len(s0.channels) + 3)
+    d0 = find_delta(ann_delta(s0), s0, iota, len(s0.anns) + 3)
     if d0 is None:
         return False, "initial state does not type"
     r = reachable(s0, max_states)

@@ -33,6 +33,11 @@ question from its one exploration: ``oracle_dynamic`` explores the
 approximant and then runs, for each exposed prefix, a fresh search
 (``_residual_matches``) over every thread of the residual.
 
+And the well-typed cells of ``sessprog.gen`` as they were before they
+were written in the concrete syntax: ``CELLS`` holds one hand-built
+constructor per cell, in the order of ``gen._CELLS``, each drawing its
+names from ``gen._fresh`` in the same order.
+
 Test-only reference: ``tests/test_differential.py`` demands that the
 kernel versions give byte-identical keys, terms, texts and verdicts,
 and equal measures, and identical duality verdicts and mismatch paths
@@ -47,6 +52,7 @@ from dataclasses import replace
 import sessprog.progress as prog
 import sessprog.semantics as sem
 import sessprog.typecheck as tc
+from sessprog.gen import _fresh
 from sessprog.measure import InfiniteIndex, _geom_sum
 from sessprog.semantics import CanonState, NotUserProcess
 from sessprog.sestypes import (
@@ -329,9 +335,8 @@ def _make_state(chan_anns: dict, threads: list) -> CanonState:
     key = f"nu[{len(chans)}] " + " || ".join(keys)
     return CanonState(
         key=key,
-        channels=tuple(sorted(chans)),
         threads=tuple(threads),
-        anns=tuple((c, *chans[c]) for c in occ),
+        anns={c: chans[c] for c in occ},
     )
 
 
@@ -1245,7 +1250,7 @@ def _check(sigma, gamma, delta, p, iota, out):
 
 def _residual_matches(s: CanonState, drop: int, want_kind: str, peer: Endpoint, budget: int):
     threads = [t for i, t in enumerate(s.threads) if i != drop]
-    r = sem.reachable(sem._make_state(s.ann_map(), threads), max_states=budget)
+    r = sem.reachable(sem._make_state(s.anns, threads), max_states=budget)
     for st in r.states.values():
         for t in st.threads:
             if isinstance(t, Output if want_kind == "!" else Input) and t.subject == peer:
@@ -1254,7 +1259,7 @@ def _residual_matches(s: CanonState, drop: int, want_kind: str, peer: Endpoint, 
 
 
 def oracle_dynamic(p: Process, iota: int = 2, max_states: int = 100_000):
-    prog._require_closed(p)
+    tc.require_closed(p)
     q = sem.approximant(p, iota) if sem.is_user_process(p) else p
     r = sem.reachable(sem.canonicalize(q), max_states=max_states)
     if r.truncated:
@@ -1284,3 +1289,90 @@ def oracle_dynamic(p: Process, iota: int = 2, max_states: int = 100_000):
         evidence={"approxIndex": iota},
         states_explored=explored,
     )
+
+
+def _cell_send(rng, index) -> Process:
+    a = _fresh("a")
+    t = TOut(_fresh("p"), _fresh("p"), Base(), End())
+    return New(
+        a,
+        t,
+        None,
+        Par(
+            Output(Endpoint(a, "+"), rng.randint(0, 9), Idle()),
+            Input(Endpoint(a, "-"), _fresh("x"), Idle()),
+        ),
+    )
+
+
+def _cell_two_step(rng, index) -> Process:
+    a = _fresh("a")
+    t = TOut(_fresh("p"), _fresh("p"), Base(), TIn(_fresh("p"), _fresh("p"), Base(), End()))
+    x = _fresh("x")
+    return New(
+        a,
+        t,
+        None,
+        Par(
+            Output(Endpoint(a, "+"), rng.randint(0, 9), Input(Endpoint(a, "+"), _fresh("y"), Idle())),
+            Input(Endpoint(a, "-"), x, Output(Endpoint(a, "-"), Var(x), Idle())),
+        ),
+    )
+
+
+def _cell_loop(rng, index) -> Process:
+    a = _fresh("a")
+    tv = _fresh("t")
+    t = TRec(index, tv, TOut(_fresh("p"), _fresh("p"), Base(), TypeVar(tv)))
+    x, y = _fresh("X"), _fresh("Y")
+    return New(
+        a,
+        t,
+        None,
+        Par(
+            Rec(index, x, Output(Endpoint(a, "+"), rng.randint(0, 9), ProcVar(x))),
+            Rec(index, y, Input(Endpoint(a, "-"), _fresh("x"), ProcVar(y))),
+        ),
+    )
+
+
+def _cell_forwarder(rng, index) -> Process:
+    a, b, c = _fresh("a"), _fresh("b"), _fresh("c")
+    ta = TRec(index, _fresh("t"), None)
+    tav = TOut(_fresh("p"), _fresh("p"), End(), TypeVar(ta.var))
+    ta = TRec(index, ta.var, tav)
+    tb = TRec(index, _fresh("t"), None)
+    tbv = TOut(_fresh("p"), _fresh("p"), End(), TypeVar(tb.var))
+    tb = TRec(index, tb.var, tbv)
+    x, y, z, v = _fresh("X"), _fresh("Y"), _fresh("Z"), _fresh("x")
+    fwd = Rec(index, x, Input(Endpoint(a, "-"), v, Output(Endpoint(b, "+"), Var(v), ProcVar(x))))
+    prod = Rec(index, y, New(c, None, None, Output(Endpoint(a, "+"), Endpoint(c, "+"), ProcVar(y))))
+    cons = Rec(index, z, Input(Endpoint(b, "-"), _fresh("y"), ProcVar(z)))
+    return New(a, ta, None, New(b, tb, None, Par(fwd, Par(prod, cons))))
+
+
+def _cell_delegate(rng, index) -> Process:
+    a, b = _fresh("a"), _fresh("b")
+    s = TOut(_fresh("p"), _fresh("p"), Base(), End())
+    t = TOut(_fresh("p"), _fresh("p"), s, End())
+    x = _fresh("x")
+    return New(
+        a,
+        t,
+        None,
+        New(
+            b,
+            s,
+            None,
+            Par(
+                Output(Endpoint(a, "+"), Endpoint(b, "+"), Idle()),
+                Par(
+                    Input(Endpoint(a, "-"), x, Output(Var(x), rng.randint(0, 9), Idle())),
+                    Input(Endpoint(b, "-"), _fresh("y"), Idle()),
+                ),
+            ),
+        ),
+    )
+
+
+CELLS = [_cell_send, _cell_two_step, _cell_loop, _cell_forwarder, _cell_delegate]

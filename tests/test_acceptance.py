@@ -152,7 +152,7 @@ def test_criterion_5_soundness_cross_check():
 def _state_leq(q, s):
     """The approximation preorder lifted to canonical states: channels
     coincide and threads match one-to-one under the process preorder."""
-    if set(q.channels) != set(s.channels) or len(q.threads) != len(s.threads):
+    if q.anns.keys() != s.anns.keys() or len(q.threads) != len(s.threads):
         return False
 
     def match(i, used):

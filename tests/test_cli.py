@@ -154,9 +154,9 @@ def test_unreadable_file_is_a_usage_error(tmp_path, capsys):
         assert code == 2 and err.startswith("error: "), err
 
 
-@pytest.mark.parametrize("command", ["progress", "oracle"])
+@pytest.mark.parametrize("command", ["check", "progress", "oracle"])
 def test_an_open_program_is_a_usage_error(command, tmp_path, capsys):
-    # exit 1 would say the program has no progress
+    # exit 1 would say the program is ill typed or has no progress
     f = tmp_path / "open.ssp"
     f.write_text("a+!1.0 | b-?(x).0")
     code, out, err = run(capsys, command, f)

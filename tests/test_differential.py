@@ -94,7 +94,7 @@ from sessprog.syntax import (
     subst_type_var,
     subterms,
 )
-from sessprog.typecheck import check_closed
+from sessprog.typecheck import NotClosed, check_closed
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -215,7 +215,9 @@ def test_renamings_and_keys_match_reference_on_clashing_names():
         assert _rename_clashing_news(p, set(seen)) == ref._rename_clashing_news(p, set(seen))
         assert _rename_clashing_news(p, all_idents(p)) == ref._rename_clashing_news(p, all_idents(p))
         ours, theirs = _merge({}, [p]), ref._merge({}, [p])
-        assert (ours.key, ours.channels, ours.threads) == (theirs.key, theirs.channels, theirs.threads)
+        assert (ours.key, list(ours.anns.items()), ours.threads) == (
+            theirs.key, list(theirs.anns.items()), theirs.threads
+        )
     assert renamed > 100  # the corpus does clash
 
 
@@ -503,7 +505,8 @@ def test_parser_matches_the_recursive_parser(monkeypatch):
 def test_checker_matches_the_recursive_checker(monkeypatch):
     """The worklist checker against the recursive ``_check`` at indices
     0, 1 and inf: constraints with origin and position, diagnostics and
-    solutions, variables in the same order."""
+    solutions, variables in the same order.  An open program's verdict is
+    the text of its ``NotClosed``."""
     rng = random.Random(31)
     programs = [parse_program(f.read_text()).process for f in sorted(CORPUS.glob("*.ssp"))]
     programs += [gen_user(rng) for _ in range(300)] + [gen_well_typed_user(rng) for _ in range(150)]
@@ -519,8 +522,12 @@ def test_checker_matches_the_recursive_checker(monkeypatch):
         out = []
         for p in programs:
             for iota in (0, 1, INF):
-                v = check_closed(p, iota)
-                out.append((v, list(v.assignment.values.items()) if v.assignment else None))
+                try:
+                    v = check_closed(p, iota)
+                except NotClosed as e:
+                    out.append(str(e))
+                else:
+                    out.append((v, list(v.assignment.values.items()) if v.assignment else None))
         return out
 
     ours = verdicts()
@@ -528,5 +535,38 @@ def test_checker_matches_the_recursive_checker(monkeypatch):
         m.setattr(typecheck, "check", ref.check)
         theirs = verdicts()
     assert ours == theirs
-    rules = {d.rule for v, _a in ours for d in v.diagnostics}
-    assert sum(v.ok for v, _a in ours) > 300 and len(rules) == 6, rules
+    checked = [x[0] for x in ours if type(x) is tuple]
+    rules = {d.rule for v in checked for d in v.diagnostics}
+    assert sum(v.ok for v in checked) > 300 and len(rules) == 6, rules
+
+
+def test_cells_match_the_hand_built_cells(monkeypatch):
+    """The cells parsed from their text against the hand-built cells,
+    each at indices 0-3 and inf, and whole seeded programs of either kind
+    of cell: equal ASTs and equal printed text, from equal seeds and the
+    same start of the name counter."""
+    parsed = gen._cell
+
+    def hand_built(rng, cell, index):
+        return ref.CELLS[gen._CELLS.index(cell)](rng, index)
+
+    def both(make):
+        out = []
+        for cell in (parsed, hand_built):
+            monkeypatch.setattr(gen, "_uid", itertools.count(7))
+            monkeypatch.setattr(gen, "_cell", cell)
+            out.append(make())
+        return out
+
+    pairs = [
+        both(lambda: gen._cell(random.Random(seed), cell, index))
+        for cell in gen._CELLS
+        for index in (0, 1, 2, 3, INF)
+        for seed in range(4)
+    ]
+    for seed in range(100):
+        pairs.append(both(lambda: gen_well_typed(random.Random(seed))))
+        pairs.append(both(lambda: gen_well_typed(random.Random(seed), max_index=5, cells=4)))
+        pairs.append(both(lambda: gen_well_typed_user(random.Random(seed))))
+    for ours, theirs in pairs:
+        assert ours == theirs and pretty_proc(ours) == pretty_proc(theirs)

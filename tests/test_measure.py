@@ -15,7 +15,7 @@ from sessprog.measure import (
     state_measure,
     vcount,
 )
-from sessprog.semantics import canonicalize, reachable, state_to_process, step
+from sessprog.semantics import Truncated, canonicalize, reachable, state_to_process, step
 from sessprog.syntax import Par, parse_process, subst_name, subst_proc
 
 
@@ -97,6 +97,11 @@ def test_longest_path(program, length):
 def test_longest_path_rejects_an_infinite_index():
     with pytest.raises(InfiniteIndex):
         longest_path(P("rec[inf]X.X"))
+
+
+def test_longest_path_past_its_bound_is_truncated():
+    with pytest.raises(Truncated):
+        longest_path(P("rec[9]X.(rec[9]Y.Y | X)"), max_states=5)
 
 
 def test_big_integers():

@@ -8,7 +8,6 @@ from helpers import corpus_process, deadline
 from sessprog import progress
 from sessprog.gen import gen_user, gen_well_typed_user
 from sessprog.progress import (
-    NotClosed,
     Truncated,
     normal_form_shape,
     oracle_dynamic,
@@ -16,6 +15,7 @@ from sessprog.progress import (
 )
 from sessprog.semantics import approximant, canonicalize, is_normal_form, reachable
 from sessprog.syntax import Par, parse_process
+from sessprog.typecheck import NotClosed
 
 
 def test_forwarder_verified_static():

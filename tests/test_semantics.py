@@ -41,8 +41,14 @@ def test_scope_extrusion_and_alpha():
 
 def test_unused_restriction_dropped():
     s = canon("new a.0")
-    assert not s.threads and not s.channels
+    assert not s.threads and not s.anns
     assert s == canon("0")
+
+
+def test_a_printed_state_nests_its_channels_in_name_order():
+    s = canon("new a.new b.(rec[1]X.a+!1.0 | b+!2.0)")
+    assert list(s.anns) == ["b", "a"]  # the order of the key's channel numbers
+    assert pretty_proc(state_to_process(s)) == "new a.new b.(b+!2.0 | rec[1] X.a+!1.0)"
 
 
 def test_canonicalize_idempotent():
@@ -83,10 +89,7 @@ def test_rec_inf_index_stays():
 def test_unfold_renames_clashing_restrictions():
     s = canon("rec[2]X.new a.(a+!1.0 | a-?(x).X)")
     r = reachable(s)
-    # every state has globally distinct channels, so hoisting never captures
     assert not r.truncated
-    for st_ in r.states.values():
-        assert len(set(st_.channels)) == len(st_.channels)
     finals = [st_ for st_ in r.states.values() if is_normal_form(st_)]
     assert len(finals) == 1
 
