@@ -18,9 +18,10 @@ import random
 import sys
 
 from .measure import InfiniteIndex, measures
-from .progress import Truncated, oracle_dynamic, verify_static
+from .progress import oracle_dynamic, verify_static
 from .semantics import (
     NotUserProcess,
+    Truncated,
     approximant,
     canonicalize,
     is_normal_form,
@@ -212,41 +213,38 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sessprog", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, file=True):
-        if file:
-            sp.add_argument("file")
+    def command(name, run, help):
+        """The subparser of a command that reads a FILE."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        sp.add_argument("file")
         sp.add_argument("--json", action="store_true")
+        return sp
 
-    sp = sub.add_parser("check", help="type-check a closed program")
-    common(sp)
+    sp = command("check", _cmd_check, "type-check a closed program")
     sp.add_argument("--judgment-index", type=_index_arg, default=None)
 
-    sp = sub.add_parser("run", help="one seeded pseudo-random trace")
-    common(sp)
+    sp = command("run", _cmd_run, "one seeded pseudo-random trace")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-steps", type=_natural, default=1000)
 
-    sp = sub.add_parser("explore", help="reachable-set statistics")
-    common(sp)
+    sp = command("explore", _cmd_explore, "reachable-set statistics")
     sp.add_argument("--approx", type=_natural, default=2)
     sp.add_argument("--max-states", type=_positive, default=100_000)
 
-    sp = sub.add_parser("progress", help="static progress verification")
-    common(sp)
+    command("progress", _cmd_progress, "static progress verification")
 
-    sp = sub.add_parser("oracle", help="dynamic progress oracle on a finite approximant")
-    common(sp)
+    sp = command("oracle", _cmd_oracle, "dynamic progress oracle on a finite approximant")
     sp.add_argument("--approx", type=_natural, default=2)
     sp.add_argument("--max-states", type=_positive, default=100_000)
 
-    sp = sub.add_parser("measure", help="termination measure E and V table")
-    common(sp)
+    command("measure", _cmd_measure, "termination measure E and V table")
 
-    sp = sub.add_parser("approx", help="print the finite approximant")
-    common(sp)
+    sp = command("approx", _cmd_approx, "print the finite approximant")
     sp.add_argument("index", type=_natural)
 
     sp = sub.add_parser("dual", help="duality verdicts for two types")
+    sp.set_defaults(run=_cmd_dual)
     sp.add_argument("type1")
     sp.add_argument("type2")
     sp.add_argument("--json", action="store_true")
@@ -254,22 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DISPATCH = {
-    "check": _cmd_check,
-    "run": _cmd_run,
-    "explore": _cmd_explore,
-    "progress": _cmd_progress,
-    "oracle": _cmd_oracle,
-    "measure": _cmd_measure,
-    "approx": _cmd_approx,
-    "dual": _cmd_dual,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

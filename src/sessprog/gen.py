@@ -180,7 +180,7 @@ def gen_user(rng: random.Random, depth: int = 6) -> Process:
     return rewrite(to_user, p)
 
 
-def gen_subst_pair(rng: random.Random, depth: int = 4):
+def gen_subst_pair(rng: random.Random):
     """(p, x, q): p is finite with the process variable x possibly free,
     q is closed; the substitution p[q/x] is always defined because q has
     no free names to capture."""
@@ -210,6 +210,6 @@ def gen_subst_pair(rng: random.Random, depth: int = 4):
         payload = rng.choice(vars_ + endpoints + [rng.randint(0, 9)])
         return Output(rng.choice(endpoints), payload, go(d - 1, endpoints, vars_))
 
-    p = go(depth, [], [])
+    p = go(4, [], [])
     q = gen_finite(rng, depth=3)
     return p, x, q

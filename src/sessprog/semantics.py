@@ -274,26 +274,11 @@ def _rename_clashing_news(p: Process, seen: set) -> Process:
 
 
 def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
-    """All one-step reductions of a canonical state: communications
-    between complementary prefixes on peer endpoints, and unfoldings of
-    recursions with nonzero index (decremented unless infinite)."""
+    """All one-step reductions of a canonical state, in ``(kind,
+    positions)`` order: communications between complementary prefixes on
+    peer endpoints, then unfoldings of recursions with nonzero index
+    (decremented unless infinite)."""
     out = []
-    used = set(s.anns)
-    for t in s.threads:
-        used |= all_idents(t)
-
-    for i, t in enumerate(s.threads):
-        if isinstance(t, Rec) and t.index > 0:
-            folded = Rec(t.index - 1, t.var, t.body)
-            body = subst_proc(t.body, t.var, folded)
-            if body is None:  # freshening guarantees this cannot happen
-                raise RuntimeError("capture during recursion unfolding")
-            body = _rename_clashing_news(body, set(used))
-            threads = list(s.threads)
-            threads[i] = body
-            label = RedexLabel("rec", (i,))
-            out.append((label, _merge(s.anns, threads)))
-
     for i, t in enumerate(s.threads):
         if not isinstance(t, Output) or not isinstance(t.subject, Endpoint):
             continue
@@ -312,7 +297,20 @@ def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
             label = RedexLabel("comm", (i, j), channel=a.channel, payload=t.payload)
             out.append((label, _merge(s.anns, threads)))
 
-    out.sort(key=lambda lr: (lr[0].kind, lr[0].positions))
+    used = set(s.anns)
+    for t in s.threads:
+        used |= all_idents(t)
+    for i, t in enumerate(s.threads):
+        if isinstance(t, Rec) and t.index > 0:
+            folded = Rec(t.index - 1, t.var, t.body)
+            body = subst_proc(t.body, t.var, folded)
+            if body is None:  # freshening guarantees this cannot happen
+                raise RuntimeError("capture during recursion unfolding")
+            body = _rename_clashing_news(body, used)
+            threads = list(s.threads)
+            threads[i] = body
+            label = RedexLabel("rec", (i,))
+            out.append((label, _merge(s.anns, threads)))
     return out
 
 

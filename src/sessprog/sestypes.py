@@ -22,23 +22,19 @@ from .syntax import (
 )
 
 
-class TypeError_(Exception):
-    """Base for type-operation failures."""
-
-
-class UnboundTypeVar(TypeError_):
+class UnboundTypeVar(Exception):
     pass
 
 
-class CannotUnfold(TypeError_):
+class CannotUnfold(Exception):
     pass
 
 
-class NoAction(TypeError_):
+class NoAction(Exception):
     pass
 
 
-class DepthExceeded(TypeError_):
+class DepthExceeded(Exception):
     """The duality pair budget was hit; an internal error, not a verdict."""
 
 
@@ -149,7 +145,7 @@ def type_key(t: SessionType, env=None, depth=0) -> str:
             if c is TypeVar:
                 out.append(env.get(t.ident, f"'{t.ident}"))
             elif c is End or c is Base:
-                out.append("end" if c is End else t.kind)
+                out.append("end" if c is End else "int")
             else:
                 raise TypeError(t)
             if not conts:

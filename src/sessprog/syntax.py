@@ -87,7 +87,7 @@ class TypeVar:
 
 @dataclass(frozen=True)
 class Base:
-    kind: str = "int"
+    pass
 
 
 @dataclass(frozen=True)
@@ -582,7 +582,7 @@ def pretty_type(t: SessionType) -> str:
         else:
             if not isinstance(t, (End, Base, TypeVar)):
                 raise TypeError(t)
-            out.append("end" if isinstance(t, End) else t.kind if isinstance(t, Base) else t.ident)
+            out.append("end" if isinstance(t, End) else "int" if isinstance(t, Base) else t.ident)
             if not conts:
                 return "".join(out)
             t, text = conts.pop()
@@ -609,6 +609,7 @@ _TOKEN_RE = re.compile(
   | (?P<num>\d+)
   | (?P<id>[A-Za-z][A-Za-z0-9_]*)
   | (?P<sym>[?!.|()\[\],:~+\-=])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -618,39 +619,32 @@ _KEYWORDS = {"new", "rec", "inf", "end", "int", "type"}
 
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", line, col)
-        lexeme = m.group(0)
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
+    line, start = 1, 0  # the current line and the offset where it starts
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", line, m.start() - start + 1)
+        if kind == "ws" and "\n" in lexeme:
+            line += lexeme.count("\n")
+            start = m.start() + lexeme.rfind("\n") + 1
+        elif kind not in ("ws", "comment"):
             if kind == "id" and lexeme in _KEYWORDS:
                 kind = lexeme
-            tokens.append((kind, lexeme, line, col))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        i = m.end()
-    tokens.append(("eof", "", line, col))
+            tokens.append((kind, lexeme, line, m.start() - start + 1))
+    tokens.append(("eof", "", line, len(text) - start + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, aliases=None):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.aliases = dict(aliases or {})
+        self.aliases = {}
 
     # -- token helpers
 
-    def peek(self, k=0):
-        return self.tokens[min(self.i + k, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.i]  # ``next`` never moves past eof
 
     def next(self):
         tok = self.tokens[self.i]
@@ -878,15 +872,15 @@ def parse_program(text: str) -> Program:
     return _Parser(text).parse_program()
 
 
-def parse_process(text: str, aliases=None) -> Process:
-    parser = _Parser(text, aliases)
+def parse_process(text: str) -> Process:
+    parser = _Parser(text)
     proc = parser.parse_proc()
     parser.expect("eof", what="end of input")
     return proc
 
 
-def parse_type(text: str, aliases=None) -> SessionType:
-    parser = _Parser(text, aliases)
+def parse_type(text: str) -> SessionType:
+    parser = _Parser(text)
     t = parser.parse_type()
     parser.expect("eof", what="end of input")
     return t

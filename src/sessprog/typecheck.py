@@ -186,10 +186,15 @@ def solve(constraints) -> SolveResult:
 
 
 @dataclass
-class CheckResult:
+class ClosedVerdict:
     ok: bool
     constraints: list
     diagnostics: list
+    solution: SolveResult | None
+
+    @property
+    def assignment(self):
+        return self.solution if isinstance(self.solution, Assignment) else None
 
 
 class _Fail(Exception):
@@ -197,8 +202,8 @@ class _Fail(Exception):
         self.diag = diag
 
 
-def _fail(rule, message, pos=None, witness=()):
-    raise _Fail(Diagnostic(rule=rule, message=message, pos=pos, witness=tuple(witness)))
+def _fail(rule, message, pos=None):
+    raise _Fail(Diagnostic(rule=rule, message=message, pos=pos))
 
 
 def _discardable(t: SessionType) -> bool:
@@ -247,44 +252,38 @@ def _ob(sigma, t, pos):
         _fail("SubjectTypeMismatch", f"obligation undefined: {e}", pos)
 
 
-def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> CheckResult:
+def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> ClosedVerdict:
     """Check the judgment with type-variable environment sigma, process
     environment gamma (process variable to expected name environment of
     type variables), and name environment delta, at judgment index iota.
-    Returns the emitted constraints; satisfiability is decided separately
-    by solve.  The judgments still to check wait on a stack: each rule
-    pushes its premises, the right side of a ``|`` before its left."""
+    Returns the emitted constraints, with no solution: satisfiability is
+    decided separately by solve.  The judgments still to check wait on a
+    stack: each rule pushes its premises, the right side of a ``|``
+    before its left."""
     out: list = []
     todo = [(sigma, gamma, dict(delta), p)]
     try:
         while todo:
             sigma, gamma, delta, p = todo.pop()
-            if isinstance(p, Idle):
-                for u, t in delta.items():
-                    if not _discardable(t):
-                        _fail(
-                            "UnusedLinearName",
-                            f"{name_str(u)} : {pretty_type(t)} left over at the idle process",
-                            p.pos,
-                        )
-
-            elif isinstance(p, ProcVar):
-                expected = gamma.get(p.ident)
-                if expected is None:
-                    _fail("RecShapeMismatch", f"unbound process variable {p.ident}", p.pos)
+            if isinstance(p, (Idle, ProcVar)):  # a leaf: the idle process expects nothing
+                where, expected = "the idle process", {}
+                if isinstance(p, ProcVar):
+                    where, expected = p.ident, gamma.get(p.ident)
+                    if expected is None:
+                        _fail("RecShapeMismatch", f"unbound process variable {where}", p.pos)
                 for u, t in delta.items():
                     if u not in expected:
                         if not _discardable(t):
                             _fail(
                                 "UnusedLinearName",
-                                f"{name_str(u)} : {pretty_type(t)} left over at {p.ident}",
+                                f"{name_str(u)} : {pretty_type(t)} left over at {where}",
                                 p.pos,
                             )
                         continue
                     if not (isinstance(t, TypeVar) and t.ident == expected[u].ident):
                         _fail(
                             "RecShapeMismatch",
-                            f"{name_str(u)} has type {pretty_type(t)} at {p.ident}, "
+                            f"{name_str(u)} has type {pretty_type(t)} at {where}, "
                             f"expected {pretty_type(expected[u])}",
                             p.pos,
                         )
@@ -292,7 +291,7 @@ def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> CheckResul
                 if missing:
                     _fail(
                         "RecShapeMismatch",
-                        f"{p.ident} expects {', '.join(name_str(u) for u in missing)} in scope",
+                        f"{where} expects {', '.join(name_str(u) for u in missing)} in scope",
                         p.pos,
                     )
 
@@ -404,8 +403,8 @@ def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> CheckResul
             else:
                 raise TypeError(p)
     except _Fail as f:
-        return CheckResult(False, out, [f.diag])
-    return CheckResult(True, out, [])
+        return ClosedVerdict(False, out, [f.diag], None)
+    return ClosedVerdict(True, out, [], None)
 
 
 def balanced(delta: dict) -> bool:
@@ -441,25 +440,13 @@ def context_reduce(delta: dict) -> list:
     return out
 
 
-@dataclass
-class ClosedVerdict:
-    ok: bool
-    constraints: list
-    diagnostics: list
-    solution: SolveResult | None
-
-    @property
-    def assignment(self):
-        return self.solution if isinstance(self.solution, Assignment) else None
-
-
 def check_open(delta: dict, p: Process, iota) -> ClosedVerdict:
     """Check a process against an explicit name environment (empty type
     variable and process environments) and solve the constraints."""
     reserved = {u.ident if isinstance(u, Var) else u.channel for u in delta}
     res = check({}, {}, delta, freshen(p, reserved=reserved), iota)
     if not res.ok:
-        return ClosedVerdict(False, res.constraints, res.diagnostics, None)
+        return res
     sol = solve(res.constraints)
     if isinstance(sol, CycleWitness):
         diag = Diagnostic(

@@ -31,7 +31,8 @@ compared.
 And the progress oracle as it was before it answered every residual
 question from its one exploration: ``oracle_dynamic`` explores the
 approximant and then runs, for each exposed prefix, a fresh search
-(``_residual_matches``) over every thread of the residual.
+(``_residual_matches``) over every thread of the residual, which stops
+at its first match.
 
 And the well-typed cells of ``sessprog.gen`` as they were before they
 were written in the concrete syntax: ``CELLS`` holds one hand-built
@@ -90,7 +91,7 @@ from sessprog.syntax import (
     name_str,
     pri_str,
 )
-from sessprog.typecheck import CheckResult, Constraint, _discardable, _fail, _Fail, _ob, split_env
+from sessprog.typecheck import Constraint, _discardable, _fail, _Fail, _ob, split_env
 
 
 def subst_name(p: Process, target: str, repl) -> Process | None:
@@ -798,7 +799,7 @@ def pretty_type(t: SessionType) -> str:
     if isinstance(t, End):
         return "end"
     if isinstance(t, Base):
-        return t.kind
+        return "int"
     if isinstance(t, TypeVar):
         return t.ident
     if isinstance(t, (TIn, TOut)):
@@ -879,7 +880,7 @@ def type_key(t: SessionType, env=None, depth=0) -> str:
     if isinstance(t, End):
         return "end"
     if isinstance(t, Base):
-        return t.kind
+        return "int"
     if isinstance(t, TypeVar):
         return env.get(t.ident, f"'{t.ident}")
     if isinstance(t, (TIn, TOut)):
@@ -1050,15 +1051,15 @@ class RecursiveParser(_Parser):
         self.error("expected a type", expected=("type",))
 
 
-def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> CheckResult:
+def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> tc.ClosedVerdict:
     """``typecheck.check`` as it was before its worklist: it hands the
     judgment to the recursive ``_check``."""
     constraints: list = []
     try:
         _check(sigma, gamma, dict(delta), p, iota, constraints)
     except _Fail as f:
-        return CheckResult(False, constraints, [f.diag])
-    return CheckResult(True, constraints, [])
+        return tc.ClosedVerdict(False, constraints, [f.diag], None)
+    return tc.ClosedVerdict(True, constraints, [], None)
 
 
 def _check(sigma, gamma, delta, p, iota, out):
@@ -1249,13 +1250,26 @@ def _check(sigma, gamma, delta, p, iota, out):
 
 
 def _residual_matches(s: CanonState, drop: int, want_kind: str, peer: Endpoint, budget: int):
+    """Whether some state reachable from the residual offers ``want_kind``
+    on ``peer``, and whether the search was cut.  A BFS in the order of
+    ``reachable`` that stops at the first match; past ``budget`` states it
+    admits no new ones but still examines those it holds, so its answers
+    are those of ``reachable`` followed by a scan of every state."""
     threads = [t for i, t in enumerate(s.threads) if i != drop]
-    r = sem.reachable(sem._make_state(s.anns, threads), max_states=budget)
-    for st in r.states.values():
-        for t in st.threads:
-            if isinstance(t, Output if want_kind == "!" else Input) and t.subject == peer:
-                return True, r.truncated
-    return False, r.truncated
+    start = sem._make_state(s.anns, threads)
+    cls = Output if want_kind == "!" else Input
+    seen, queue, truncated = {start.key}, [start], False
+    for st in queue:
+        if any(isinstance(t, cls) and t.subject == peer for t in st.threads):
+            return True, truncated
+        for _label, succ in sem.step(st):
+            if succ.key not in seen:
+                if len(seen) >= budget:
+                    truncated = True
+                    continue
+                seen.add(succ.key)
+                queue.append(succ)
+    return False, truncated
 
 
 def oracle_dynamic(p: Process, iota: int = 2, max_states: int = 100_000):

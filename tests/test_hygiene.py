@@ -1,13 +1,15 @@
 """Hygiene of the library: every import sits at module level and every
 imported name is used (``__init__.py`` re-exports names, so only the
 placement rule applies to it), every module-level function and class
-is used somewhere outside its own body, the recursive functions are
-the ones pinned in ``RECURSIVE``, and every function the benchmark's
-tracer wraps by name exists."""
+is used somewhere outside its own body, every defaulted parameter is
+passed by some call, the recursive functions are the ones pinned in
+``RECURSIVE``, and every function the benchmark's tracer wraps by name
+exists."""
 
 import ast
 import importlib
 import inspect
+import math
 import pathlib
 from collections import Counter
 
@@ -15,6 +17,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "sessprog"
 # where a library definition may be used
 USERS = [REPO / d for d in ("src", "tests", "bench", "scripts")]
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _modules():
@@ -112,6 +115,88 @@ def test_the_check_catches_dead_definitions(tmp_path):
     ]
 
 
+def _call_sites(users: list) -> tuple:
+    """Over every file under ``users``: for each called name, the most
+    positional arguments one call passes and the keywords calls pass
+    (``*args`` and ``**kwargs`` count as passing them all); and the names
+    used other than as a callee."""
+    positional: Counter = Counter()
+    keywords: dict = {}
+    values: set = set()
+    for root in users:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            callees = set()
+            for n in ast.walk(tree):
+                if isinstance(n, ast.Call):
+                    callees.add(id(n.func))
+                    name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                    starred = any(isinstance(a, ast.Starred) for a in n.args)
+                    positional[name] = max(positional[name], math.inf if starred else len(n.args))
+                    keywords.setdefault(name, set()).update(k.arg or "**" for k in n.keywords)
+            values |= {
+                getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(tree)
+                if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in callees
+            }
+    return positional, keywords, values
+
+
+def unpassed_defaults(modules: list, users: list) -> list:
+    """The defaulted parameters of the module-level functions and methods
+    of ``modules`` that no call under ``users`` passes, by position or by
+    keyword.  Calls are matched by name, and an ``__init__`` by its
+    class's name.  A function passed by name (a fold's node function)
+    may be called with any arguments, so it is left out."""
+    positional, keywords, values = _call_sites(users)
+    found = []
+    for path in modules:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            defs = [(node, node.name, node.name, 0)] if isinstance(node, _DEFS) else []
+            if isinstance(node, ast.ClassDef):
+                defs = [
+                    (f, f"{node.name}.{f.name}", node.name if f.name == "__init__" else f.name, 1)
+                    for f in node.body if isinstance(f, _DEFS)
+                ]
+            for f, qual, name, skip in defs:  # skip: a method's self, never passed
+                if name in values:
+                    continue
+                a = f.args
+                params = a.posonlyargs + a.args
+                # each defaulted parameter, after how many positional arguments a call passes it
+                defaulted = [(k - skip, p) for k, p in enumerate(params)][len(params) - len(a.defaults):]
+                defaulted += [(math.inf, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+                for k, p in defaulted:
+                    kws = keywords.get(name, ())
+                    if positional[name] <= k and p.arg not in kws and "**" not in kws:
+                        found.append(f"{path.name}:{f.lineno}: {qual}({p.arg}) is never passed")
+    return found
+
+
+def test_every_default_is_overridden_somewhere():
+    assert unpassed_defaults(_modules(), USERS) == []
+
+
+def test_the_check_catches_unpassed_defaults(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n\n"
+        "def node(x, left=0, right=0):\n    return x\n\n\n"
+        "def spread(a=1, b=2):\n    return a\n\n\n"
+        "class C:\n    def __init__(self, a, b=1):\n        self.a = a\n\n"
+        "    def m(self, k=0):\n        return k\n"
+    )
+    (tmp_path / "user.py").write_text(
+        "import lib\n\n"
+        "lib.f(0, 1, d=2)\nlib.C(0).m()\nlib.spread(*[1, 2])\nFOLD = [lib.node]\n"
+    )
+    assert unpassed_defaults([lib], [tmp_path]) == [
+        "lib.py:1: f(c) is never passed",
+        "lib.py:1: f(e) is never passed",
+        "lib.py:14: C.__init__(b) is never passed",
+        "lib.py:17: C.m(k) is never passed",
+    ]
+
+
 def _own_nodes(node):
     """The nodes under ``node`` outside any function or class it defines
     (the definitions themselves included)."""
@@ -121,9 +206,6 @@ def _own_nodes(node):
         yield n
         if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             stack.extend(ast.iter_child_nodes(n))
-
-
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _reference_graph(tree) -> dict:

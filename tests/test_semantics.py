@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -173,3 +174,18 @@ def test_user_approximants_below(seed, n):
     p = gen_user(random.Random(seed), depth=5)
     assert is_user_process(p)
     assert approx_leq(approximant(p, n), p)
+
+
+def test_successors_come_in_label_order():
+    # communications before unfoldings, each kind by thread positions:
+    # BFS order, traces and counterexamples depend on this order.  The
+    # edges of each state are its successors in the order step gives them.
+    rng = random.Random(23)
+    both = 0
+    for _ in range(300):
+        r = reachable(canonicalize(gen_finite(rng, depth=7)), max_states=300)
+        for key, edges in itertools.groupby(r.edges, lambda e: e[0].key):
+            labels = [(label.kind, label.positions) for _s, label, _succ in edges]
+            assert labels == sorted(labels), key
+            both += len({kind for kind, _pos in labels}) == 2
+    assert both >= 100
