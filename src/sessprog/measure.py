@@ -67,8 +67,9 @@ def emeasure(p: Process) -> int:
     return measures(p)[0]
 
 
-def state_measure(s: CanonState) -> int:
-    return sum(emeasure(t) for t in s.threads)
+def state_measure(s: CanonState, e=emeasure) -> int:
+    """E of a state: the sum of ``e`` over its threads."""
+    return sum(map(e, s.threads))
 
 
 def expected_drop(label: RedexLabel) -> int:
@@ -89,11 +90,18 @@ def check_decrease(p: Process, max_states: int = 100_000):
     s0 = canonicalize(p)
     r = reachable(s0, max_states=max_states)
     failures = []
-    cache: dict = {}
+    by_thread: dict = {}  # id -> E; ``r`` keeps every thread alive
+
+    def e_of(t):
+        if id(t) not in by_thread:
+            by_thread[id(t)] = emeasure(t)
+        return by_thread[id(t)]
+
+    cache: dict = {}  # key -> E; a state reached again comes with new threads
 
     def m(st):
         if st.key not in cache:
-            cache[st.key] = state_measure(st)
+            cache[st.key] = state_measure(st, e_of)
         return cache[st.key]
 
     for st, label, succ in r.edges:

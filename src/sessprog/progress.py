@@ -45,14 +45,12 @@ class ProgressVerdict:
     status: str  # verified-static | violated-dynamic | holds-dynamic-at-bound | unknown
     evidence: dict = field(default_factory=dict)
     states_explored: int | None = None
-    truncated: bool = False
 
     def to_json(self) -> dict:
         return {
             "status": self.status,
             "evidence": self.evidence,
             "statesExplored": self.states_explored,
-            "truncated": self.truncated,
         }
 
 

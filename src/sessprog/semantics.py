@@ -10,6 +10,11 @@ structural congruence, but not the converse: the sort still sees the
 names of hoisted channels, so congruent states can get different keys
 (``rec[3] X.(new a.(a+!a-.new b.X | X) | X)`` reaches 14 states and its
 ``|``-mirror 26).
+
+A state carries each thread's serialization next to the thread.  A
+reduction changes at most two threads, so ``step`` hands the parent's
+serializations on and a successor serializes only the threads the
+reduction made; every key is the one a from-scratch build gives.
 """
 
 from __future__ import annotations
@@ -77,6 +82,10 @@ class CanonState:
     # numbers of ``key``, for rebuilding processes, the typing harness and
     # translating the oracle's prefixes between states with equal keys
     anns: dict = field(compare=False)
+    # per thread, in the order of ``threads``: the ``_entry`` of its
+    # serialization, handed on by ``step`` so that a successor serializes
+    # only the threads its reduction made
+    sers: tuple = field(compare=False)
 
     def __repr__(self):
         return f"CanonState({pretty_proc(state_to_process(self))!r})"
@@ -138,35 +147,62 @@ def _serialize(p: Process) -> list:
     return out
 
 
-def _make_state(chan_anns: dict, threads: list) -> CanonState:
-    sers = [(t, _serialize(t)) for t in threads if not isinstance(t, Idle)]
-    used = {x[0] for _t, pieces in sers for x in pieces if type(x) is tuple and x[3]}
+def _entry(t: Process) -> tuple:
+    """The ``sers`` entry of a thread: its channel-agnostic sort text, its
+    serialization with each run of text pieces joined into one, the
+    channels of its endpoints in order of first occurrence and those that
+    occur free."""
+    parts, run = [], []
+    for x in _serialize(t):
+        if type(x) is str:
+            run.append(x)
+        else:
+            parts += ("".join(run), x)
+            run = []
+    parts.append("".join(run))
+    slots = parts[1::2]
+    return (
+        "".join([x if type(x) is str else x[2] for x in parts]),
+        tuple(parts),
+        tuple(dict.fromkeys([x[0] for x in slots])),
+        tuple(dict.fromkeys([x[0] for x in slots if x[3]])),
+    )
+
+
+def _make_state(chan_anns: dict, threads: list, known: dict) -> CanonState:
+    """The canonical state of non-idle ``threads`` under ``chan_anns``.
+    ``known`` maps the ``id`` of a thread that is alive throughout the
+    call to its ``sers`` entry; every other thread is serialized."""
+    sers = [(t, known.get(id(t)) or _entry(t)) for t in threads]
+    used = set().union(*[entry[3] for _t, entry in sers])
     chans = {c: chan_anns[c] for c in chan_anns if c in used}
     # order threads by their channel-agnostic serialization, then number
     # the restricted channels by first occurrence in that order
-    sers.sort(key=lambda tp: "".join([x if type(x) is str else x[2] for x in tp[1]]))
+    sers.sort(key=lambda te: te[1][0])
     chan_map: dict = {}
-    for _t, pieces in sers:
-        for x in pieces:
-            if type(x) is tuple and x[0] in chans and x[0] not in chan_map:
-                chan_map[x[0]] = f"#{len(chan_map)}"
+    for _t, (_text, _parts, names, _free) in sers:
+        for c in names:
+            if c in chans and c not in chan_map:
+                chan_map[c] = f"#{len(chan_map)}"
     keys = sorted(
-        "".join([
+        text if chan_map.keys().isdisjoint(names) else "".join([
             x if type(x) is str else chan_map[x[0]] + x[1] if x[0] in chan_map else x[2]
-            for x in pieces
+            for x in parts
         ])
-        for _t, pieces in sers
+        for _t, (text, parts, names, _free) in sers
     )
     return CanonState(
         key=f"nu[{len(chans)}] " + " || ".join(keys),
-        threads=tuple(t for t, _pieces in sers),
+        threads=tuple(t for t, _entry in sers),
         anns={c: chans[c] for c in chan_map},
+        sers=tuple(entry for _t, entry in sers),
     )
 
 
-def _merge(anns: dict, procs: list) -> CanonState:
+def _merge(anns: dict, procs: list, known: dict) -> CanonState:
     """Flatten parallel composition, drop idle components and hoist the
-    unguarded restrictions of ``procs`` next to the channels in ``anns``."""
+    unguarded restrictions of ``procs`` next to the channels in ``anns``;
+    ``known`` is passed to ``_make_state``."""
     chan_anns = dict(anns)
     threads: list = []
     stack = procs[::-1]
@@ -179,7 +215,7 @@ def _merge(anns: dict, procs: list) -> CanonState:
             stack.append(q.body)
         elif not isinstance(q, Idle):
             threads.append(q)
-    return _make_state(chan_anns, threads)
+    return _make_state(chan_anns, threads, known)
 
 
 def canonicalize(p: Process) -> CanonState:
@@ -188,7 +224,7 @@ def canonicalize(p: Process) -> CanonState:
     endpoints are unused.  Idempotent and invariant under the structural
     congruence laws.  Freshening first keeps a restriction from being
     merged with a same-named one or capturing a received endpoint."""
-    return _merge({}, [freshen(p)])
+    return _merge({}, [freshen(p)], {})
 
 
 def state_to_process(s: CanonState) -> Process:
@@ -279,6 +315,8 @@ def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
     peer endpoints, then unfoldings of recursions with nonzero index
     (decremented unless infinite)."""
     out = []
+    # the parent's threads stay alive throughout, so their ids stay theirs
+    known = dict(zip(map(id, s.threads), s.sers))
     for i, t in enumerate(s.threads):
         if not isinstance(t, Output) or not isinstance(t.subject, Endpoint):
             continue
@@ -295,13 +333,13 @@ def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
             threads[i] = t.body
             threads[j] = recv
             label = RedexLabel("comm", (i, j), channel=a.channel, payload=t.payload)
-            out.append((label, _merge(s.anns, threads)))
+            out.append((label, _merge(s.anns, threads, known)))
 
-    used = set(s.anns)
-    for t in s.threads:
-        used |= all_idents(t)
+    used = None  # every identifier of the state, built at the first unfolding
     for i, t in enumerate(s.threads):
         if isinstance(t, Rec) and t.index > 0:
+            if used is None:
+                used = set(s.anns).union(*map(all_idents, s.threads))
             folded = Rec(t.index - 1, t.var, t.body)
             body = subst_proc(t.body, t.var, folded)
             if body is None:  # freshening guarantees this cannot happen
@@ -310,7 +348,7 @@ def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
             threads = list(s.threads)
             threads[i] = body
             label = RedexLabel("rec", (i,))
-            out.append((label, _merge(s.anns, threads)))
+            out.append((label, _merge(s.anns, threads, known)))
     return out
 
 

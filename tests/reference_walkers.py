@@ -317,7 +317,7 @@ def _channels_in_order(p: Process, restricted: set, acc: list):
     raise TypeError(p)
 
 
-def _make_state(chan_anns: dict, threads: list) -> CanonState:
+def _make_state(chan_anns: dict, threads: list, _known: dict) -> CanonState:
     threads = [t for t in threads if not isinstance(t, Idle)]
     used = set()
     for t in threads:
@@ -338,6 +338,7 @@ def _make_state(chan_anns: dict, threads: list) -> CanonState:
         key=key,
         threads=tuple(threads),
         anns={c: chans[c] for c in occ},
+        sers=(),  # built from scratch: nothing to hand on
     )
 
 
@@ -361,7 +362,7 @@ def canonicalize(p: Process, outer_anns: dict | None = None) -> CanonState:
             threads.append(q)
 
     walk(p)
-    return _make_state(chan_anns, threads)
+    return _make_state(chan_anns, threads, {})
 
 
 def is_user_process(p: Process) -> bool:
@@ -511,7 +512,7 @@ def _rename_clashing_news(p: Process, seen: set) -> Process:
     return go(p, {})
 
 
-def _merge(anns: dict, threads: list) -> CanonState:
+def _merge(anns: dict, threads: list, _known: dict) -> CanonState:
     chan_anns = dict(anns)
     flat: list = []
 
@@ -529,7 +530,7 @@ def _merge(anns: dict, threads: list) -> CanonState:
 
     for t in threads:
         walk(t)
-    return _make_state(chan_anns, flat)
+    return _make_state(chan_anns, flat, {})
 
 
 def vcount(p: Process, x: str) -> int:
@@ -1256,7 +1257,7 @@ def _residual_matches(s: CanonState, drop: int, want_kind: str, peer: Endpoint, 
     admits no new ones but still examines those it holds, so its answers
     are those of ``reachable`` followed by a scan of every state."""
     threads = [t for i, t in enumerate(s.threads) if i != drop]
-    start = sem._make_state(s.anns, threads)
+    start = sem._make_state(s.anns, threads, {})
     cls = Output if want_kind == "!" else Input
     seen, queue, truncated = {start.key}, [start], False
     for st in queue:

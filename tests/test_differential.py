@@ -214,7 +214,7 @@ def test_renamings_and_keys_match_reference_on_clashing_names():
         seen = {"a"}
         assert _rename_clashing_news(p, set(seen)) == ref._rename_clashing_news(p, set(seen))
         assert _rename_clashing_news(p, all_idents(p)) == ref._rename_clashing_news(p, all_idents(p))
-        ours, theirs = _merge({}, [p]), ref._merge({}, [p])
+        ours, theirs = _merge({}, [p], {}), ref._merge({}, [p], {})
         assert (ours.key, list(ours.anns.items()), ours.threads) == (
             theirs.key, list(theirs.anns.items()), theirs.threads
         )
@@ -336,10 +336,10 @@ def test_process_folds_printers_and_keys_match_the_recursive_walkers(monkeypatch
             field = "channel" if isinstance(q, New) else "var"
             renamed = replace(q, **{field: getattr(q, field) + "_"})
             assert approx_leq(q, q) and not approx_leq(q, renamed) and not ref.approx_leq(q, renamed)
-    ours = [_merge({}, [q]).key for q in subs]
+    ours = [_merge({}, [q], {}).key for q in subs]
     with monkeypatch.context() as m:
         m.setattr(semantics, "_serialize", ref._serialize)
-        theirs = [_merge({}, [q]).key for q in subs]
+        theirs = [_merge({}, [q], {}).key for q in subs]
     assert ours == theirs
     annotated = sum(isinstance(q, New) and q.pos_type is not None for q in subs)
     assert len(subs) > 8000 and annotated > 500

@@ -149,7 +149,7 @@ def test_normal_form_shape():
 def test_verdict_json_shape():
     v = oracle_dynamic(corpus_process("forwarder.ssp"), 1)
     j = v.to_json()
-    assert set(j) == {"status", "evidence", "statesExplored", "truncated"}
+    assert set(j) == {"status", "evidence", "statesExplored"}
 
 
 @settings(max_examples=20, deadline=None)

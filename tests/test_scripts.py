@@ -1,6 +1,8 @@
 """Smoke test of the scripts under ``scripts/``: each runs to exit 0 in
 a fresh interpreter, and the example report gives the verdict table of
-the shipped corpus."""
+the shipped corpus.  The benchmark pair is not run here; it only has to
+refuse a parent directory without sessprog sources and fewer than three
+runs per side."""
 
 import pathlib
 import subprocess
@@ -31,3 +33,19 @@ def test_examples_report_gives_the_corpus_verdicts():
         "orphan.ssp     reject    unknown           violated-dynamic",
         "self.ssp       reject    unknown           violated-dynamic",
     ]
+
+
+def test_bench_pair_needs_a_parent_checkout(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("")
+    out = tmp_path / "pair.json"
+    r = _run(SCRIPTS / "bench_pair.py", tmp_path, "--out", out, "--seed", 1)
+    assert r.returncode == 2 and "no sessprog sources" in r.stderr
+    assert not out.exists()
+
+
+def test_bench_pair_needs_three_runs_per_side(tmp_path):
+    out = tmp_path / "pair.json"
+    r = _run(SCRIPTS / "bench_pair.py", SCRIPTS.parent, "--out", out, "--seed", 1, "--runs", 2)
+    assert r.returncode == 2 and "at least 3 runs" in r.stderr
+    assert not out.exists()

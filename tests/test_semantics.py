@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessprog.gen import gen_finite, gen_user
+from sessprog import semantics
+from sessprog.gen import gen_finite, gen_user, gen_well_typed_user
 from sessprog.progress import oracle_dynamic
 from sessprog.semantics import (
     NotUserProcess,
@@ -189,3 +190,59 @@ def test_successors_come_in_label_order():
             assert labels == sorted(labels), key
             both += len({kind for kind, _pos in labels}) == 2
     assert both >= 100
+
+
+def _flat(pieces):
+    return "".join(x if type(x) is str else x[2] for x in pieces)
+
+
+def test_successors_built_from_handed_on_serializations_are_built_from_scratch(monkeypatch):
+    # every state that step builds from its parent's serializations is
+    # the state built from the same threads with none handed on: the
+    # same key, thread objects in the same order and channels; and each
+    # serialization a state carries is a fresh one of its thread, with
+    # its runs of text joined
+    merge, built = semantics._merge, []
+
+    def recording(anns, procs, known):
+        built.append((anns, procs, known, merge(anns, procs, known)))
+        return built[-1][3]
+
+    monkeypatch.setattr(semantics, "_merge", recording)
+    rng = random.Random(2024)
+    programs = [gen_finite(rng) for _ in range(300)]
+    rng = random.Random(9)
+    programs += [approximant(gen_well_typed_user(rng, cells=c), i) for c in (1, 2) for i in (1, 2) for _ in range(10)]
+    edges = handed_on = 0
+    for p in programs:
+        r = reachable(canonicalize(p), max_states=300)
+        edges += len(r.edges)
+        for anns, procs, known, st in built:
+            fresh = merge(anns, procs, {})
+            assert (st.key, list(st.anns.items())) == (fresh.key, list(fresh.anns.items()))
+            assert len(st.threads) == len(fresh.threads)
+            assert all(a is b for a, b in zip(st.threads, fresh.threads))
+            assert list(st.sers) == list(map(semantics._entry, st.threads))
+            for t, (_text, parts, _names, _free) in zip(st.threads, st.sers):
+                pieces = semantics._serialize(t)
+                assert [x for x in parts if type(x) is tuple] == [x for x in pieces if type(x) is tuple]
+                assert _flat(parts) == _flat(pieces)
+            handed_on += sum(id(t) in known for t in st.threads)
+        built.clear()
+    assert edges > 3000 and handed_on > 15_000  # successors do keep their parents' threads
+
+
+def test_one_step_serializes_no_thread_of_its_parent(monkeypatch):
+    s = canonicalize(gen_well_typed_user(random.Random(7), cells=200))
+    serialized = []
+    serialize = semantics._serialize
+
+    def counting(t):
+        serialized.append(t)
+        return serialize(t)
+
+    monkeypatch.setattr(semantics, "_serialize", counting)
+    succs = step(s)
+    assert len(s.threads) == 481 and len(succs) == 314
+    parents = set(map(id, s.threads))
+    assert serialized and not any(id(t) in parents for t in serialized)
