@@ -11,10 +11,13 @@ names of hoisted channels, so congruent states can get different keys
 (``rec[3] X.(new a.(a+!a-.new b.X | X) | X)`` reaches 14 states and its
 ``|``-mirror 26).
 
-A state carries each thread's serialization next to the thread.  A
-reduction changes at most two threads, so ``step`` hands the parent's
-serializations on and a successor serializes only the threads the
-reduction made; every key is the one a from-scratch build gives.
+A state carries, next to each thread, the entry one walk of the thread
+yields: sort text, text runs and endpoint slots, free channels and
+every identifier.  A reduction changes at most two threads, so ``step``
+hands ``_merge`` the parent's ``(thread, entry)`` pairs by position,
+the reduced ones replaced by ``(new term, None)``: a successor
+serializes only the threads its reduction made, and every key is the
+one a from-scratch build gives.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .syntax import (
     SessionType,
     TRec,
     Var,
-    all_idents,
     children,
     co,
     freshen,
@@ -82,52 +84,61 @@ class CanonState:
     # numbers of ``key``, for rebuilding processes, the typing harness and
     # translating the oracle's prefixes between states with equal keys
     anns: dict = field(compare=False)
-    # per thread, in the order of ``threads``: the ``_entry`` of its
-    # serialization, handed on by ``step`` so that a successor serializes
-    # only the threads its reduction made
+    # per thread, in the order of ``threads``: its ``_serialize`` entry,
+    # handed on by ``step`` so that a successor serializes only the
+    # threads its reduction made
     sers: tuple = field(compare=False)
 
     def __repr__(self):
         return f"CanonState({pretty_proc(state_to_process(self))!r})"
 
 
-def _serialize(p: Process) -> list:
-    """The serialization of a sequential term as a list of pieces, with
-    binders numbered in preorder.  Each endpoint is a slot ``(channel,
-    polarity, text, free)`` whose text is its binder's token or
-    ``'channel``; ``_make_state`` gives restricted channels numbers."""
-    out: list = []
+def _serialize(p: Process) -> tuple:
+    """The ``sers`` entry of a sequential term, from one walk: ``(text,
+    parts, free, idents)``.  ``parts`` alternates runs of text with
+    endpoint slots ``(channel, polarity, text, free)``, with binders
+    numbered in preorder and each slot's text its binder's token or
+    ``'channel``; ``text`` is ``parts`` joined, the channel-agnostic sort
+    text; ``free`` holds the channels of the free slots in order of first
+    occurrence and ``idents`` every name the term mentions or binds."""
+    parts: list = []
+    run: list = []  # the text since the last slot
+    idents: dict = {}
     binders = 0
     todo: list = [(p, {})]  # text pieces and (subterm, scope), last first
 
     def name(v, env):
         if isinstance(v, Endpoint):
+            idents[v.channel] = None
             tok = env.get(("c", v.channel))
             text = (f"'{v.channel}" if tok is None else tok) + v.polarity
-            out.append((v.channel, v.polarity, text, tok is None))
+            parts.extend(("".join(run), (v.channel, v.polarity, text, tok is None)))
+            run.clear()
         elif isinstance(v, Var):
-            out.append(env.get(("v", v.ident), f"'{v.ident}"))
+            idents[v.ident] = None
+            run.append(env.get(("v", v.ident), f"'{v.ident}"))
         else:
-            out.append(str(v))
+            run.append(str(v))
 
     while todo:
         item = todo.pop()
         if type(item) is str:
-            out.append(item)
+            run.append(item)
             continue
         q, env = item
         if isinstance(q, Idle):
-            out.append("0")
+            run.append("0")
         elif isinstance(q, ProcVar):
-            out.append(env.get(("p", q.ident), f"'{q.ident}"))
+            idents[q.ident] = None
+            run.append(env.get(("p", q.ident), f"'{q.ident}"))
         elif isinstance(q, Par):
-            out.append("(")
+            run.append("(")
             todo += (")", (q.right, env), "|", (q.left, env))
         elif isinstance(q, Output):
             name(q.subject, env)
-            out.append("!")
+            run.append("!")
             name(q.payload, env)
-            out.append(".")
+            run.append(".")
             todo.append((q.body, env))
         else:  # a binder
             tok = f"%{binders}"
@@ -142,54 +153,39 @@ def _serialize(p: Process) -> list:
                 bound, text = ("c", q.channel), f"new {tok}{ann}."
             else:
                 bound, text = ("p", q.var), f"rec[{q.index}]{tok}."
-            out.append(text)
+            idents[bound[1]] = None
+            run.append(text)
             todo.append((q.body, {**env, bound: tok}))
-    return out
-
-
-def _entry(t: Process) -> tuple:
-    """The ``sers`` entry of a thread: its channel-agnostic sort text, its
-    serialization with each run of text pieces joined into one, the
-    channels of its endpoints in order of first occurrence and those that
-    occur free."""
-    parts, run = [], []
-    for x in _serialize(t):
-        if type(x) is str:
-            run.append(x)
-        else:
-            parts += ("".join(run), x)
-            run = []
     parts.append("".join(run))
-    slots = parts[1::2]
     return (
         "".join([x if type(x) is str else x[2] for x in parts]),
         tuple(parts),
-        tuple(dict.fromkeys([x[0] for x in slots])),
-        tuple(dict.fromkeys([x[0] for x in slots if x[3]])),
+        tuple(dict.fromkeys([x[0] for x in parts[1::2] if x[3]])),
+        tuple(idents),
     )
 
 
-def _make_state(chan_anns: dict, threads: list, known: dict) -> CanonState:
-    """The canonical state of non-idle ``threads`` under ``chan_anns``.
-    ``known`` maps the ``id`` of a thread that is alive throughout the
-    call to its ``sers`` entry; every other thread is serialized."""
-    sers = [(t, known.get(id(t)) or _entry(t)) for t in threads]
-    used = set().union(*[entry[3] for _t, entry in sers])
+def _make_state(chan_anns: dict, threads: list) -> CanonState:
+    """The canonical state of the non-idle ``threads``, ``(process, sers
+    entry or None)`` pairs, under ``chan_anns``; a thread without an entry
+    is serialized."""
+    sers = [(t, entry or _serialize(t)) for t, entry in threads]
+    used = set().union(*[entry[2] for _t, entry in sers])
     chans = {c: chan_anns[c] for c in chan_anns if c in used}
     # order threads by their channel-agnostic serialization, then number
-    # the restricted channels by first occurrence in that order
+    # the restricted channels by first free occurrence in that order
     sers.sort(key=lambda te: te[1][0])
     chan_map: dict = {}
-    for _t, (_text, _parts, names, _free) in sers:
-        for c in names:
+    for _t, (_text, _parts, free, _idents) in sers:
+        for c in free:
             if c in chans and c not in chan_map:
                 chan_map[c] = f"#{len(chan_map)}"
     keys = sorted(
-        text if chan_map.keys().isdisjoint(names) else "".join([
-            x if type(x) is str else chan_map[x[0]] + x[1] if x[0] in chan_map else x[2]
+        text if chan_map.keys().isdisjoint(free) else "".join([
+            x if type(x) is str else chan_map[x[0]] + x[1] if x[3] and x[0] in chan_map else x[2]
             for x in parts
         ])
-        for _t, (text, parts, names, _free) in sers
+        for _t, (text, parts, free, _idents) in sers
     )
     return CanonState(
         key=f"nu[{len(chans)}] " + " || ".join(keys),
@@ -199,23 +195,24 @@ def _make_state(chan_anns: dict, threads: list, known: dict) -> CanonState:
     )
 
 
-def _merge(anns: dict, procs: list, known: dict) -> CanonState:
+def _merge(anns: dict, threads: list) -> CanonState:
     """Flatten parallel composition, drop idle components and hoist the
-    unguarded restrictions of ``procs`` next to the channels in ``anns``;
-    ``known`` is passed to ``_make_state``."""
+    unguarded restrictions of ``threads``, ``(process, sers entry or
+    None)`` pairs, next to the channels in ``anns``.  A process with an
+    entry is a thread and keeps its entry."""
     chan_anns = dict(anns)
-    threads: list = []
-    stack = procs[::-1]
+    flat: list = []
+    stack = threads[::-1]
     while stack:
-        q = stack.pop()
+        q, entry = stack.pop()
         if isinstance(q, Par):
-            stack += (q.right, q.left)
+            stack += ((q.right, None), (q.left, None))
         elif isinstance(q, New):
             chan_anns[q.channel] = (q.pos_type, q.neg_type)
-            stack.append(q.body)
+            stack.append((q.body, None))
         elif not isinstance(q, Idle):
-            threads.append(q)
-    return _make_state(chan_anns, threads, known)
+            flat.append((q, entry))
+    return _make_state(chan_anns, flat)
 
 
 def canonicalize(p: Process) -> CanonState:
@@ -224,7 +221,7 @@ def canonicalize(p: Process) -> CanonState:
     endpoints are unused.  Idempotent and invariant under the structural
     congruence laws.  Freshening first keeps a restriction from being
     merged with a same-named one or capturing a received endpoint."""
-    return _merge({}, [freshen(p)], {})
+    return _merge({}, [(freshen(p), None)])
 
 
 def state_to_process(s: CanonState) -> Process:
@@ -315,8 +312,7 @@ def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
     peer endpoints, then unfoldings of recursions with nonzero index
     (decremented unless infinite)."""
     out = []
-    # the parent's threads stay alive throughout, so their ids stay theirs
-    known = dict(zip(map(id, s.threads), s.sers))
+    pairs = list(zip(s.threads, s.sers))
     for i, t in enumerate(s.threads):
         if not isinstance(t, Output) or not isinstance(t.subject, Endpoint):
             continue
@@ -329,26 +325,25 @@ def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
             recv = subst_name(u.body, u.binder, t.payload)
             if recv is None:  # unique channel binders make this unreachable
                 raise RuntimeError("capture during communication")
-            threads = list(s.threads)
-            threads[i] = t.body
-            threads[j] = recv
+            threads = pairs.copy()
+            threads[i], threads[j] = (t.body, None), (recv, None)
             label = RedexLabel("comm", (i, j), channel=a.channel, payload=t.payload)
-            out.append((label, _merge(s.anns, threads, known)))
+            out.append((label, _merge(s.anns, threads)))
 
     used = None  # every identifier of the state, built at the first unfolding
     for i, t in enumerate(s.threads):
         if isinstance(t, Rec) and t.index > 0:
             if used is None:
-                used = set(s.anns).union(*map(all_idents, s.threads))
+                used = set(s.anns).union(*[entry[3] for entry in s.sers])
             folded = Rec(t.index - 1, t.var, t.body)
             body = subst_proc(t.body, t.var, folded)
             if body is None:  # freshening guarantees this cannot happen
                 raise RuntimeError("capture during recursion unfolding")
             body = _rename_clashing_news(body, used)
-            threads = list(s.threads)
-            threads[i] = body
+            threads = pairs.copy()
+            threads[i] = (body, None)
             label = RedexLabel("rec", (i,))
-            out.append((label, _merge(s.anns, threads, known)))
+            out.append((label, _merge(s.anns, threads)))
     return out
 
 

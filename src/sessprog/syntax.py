@@ -462,25 +462,6 @@ def _ident_of(v, acc: set):
         acc.add(v.channel)
 
 
-def all_idents(p: Process) -> set:
-    acc: set = set()
-    for q in subterms(p):
-        t = type(q)
-        if t is Input:
-            _ident_of(q.subject, acc)
-            acc.add(q.binder)
-        elif t is Output:
-            _ident_of(q.subject, acc)
-            _ident_of(q.payload, acc)
-        elif t is New:
-            acc.add(q.channel)
-        elif t is Rec:
-            acc.add(q.var)
-        elif t is ProcVar:
-            acc.add(q.ident)
-    return acc
-
-
 def rebind(q: Process, binder: str, env: dict, taken: dict):
     """Rename the ``binder`` field of ``q`` to the first of ``name``,
     ``name_1``, ``name_2``, ... not in ``taken``, which gains it.  Returns

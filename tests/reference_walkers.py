@@ -17,8 +17,10 @@ before the iterative folds of the kernel: ``free_names``,
 ``free_proc_vars``, ``all_idents``, ``free_type_vars``,
 ``subst_type_var``, ``pretty_proc``, ``pretty_type``, ``obligation``,
 ``capability``, ``syntactic_dual``, ``type_key``, ``well_formed`` and
-the one-walk ``_serialize``.  Every reference here uses these and no
-library walker, so the two sides stay independent.
+the one-walk ``_serialize``, with ``_entry`` regrouping its pieces and
+adding ``all_idents`` into the entry that ``sessprog.semantics`` gives.
+Every reference here uses these and no library walker, so the two
+sides stay independent.
 
 And the recursive parser and type checker as they were before they ran
 on explicit stacks: ``RecursiveParser`` is ``syntax._Parser`` with one
@@ -264,7 +266,7 @@ def _thread_ser(p: Process, chan_map=None, env=None, counter=None) -> str:
         if isinstance(v, Var):
             return env.get(("v", v.ident), f"'{v.ident}")
         if isinstance(v, Endpoint):
-            return chan_map.get(v.channel, env.get(("c", v.channel), f"'{v.channel}")) + v.polarity
+            return env.get(("c", v.channel), chan_map.get(v.channel, f"'{v.channel}")) + v.polarity
         return str(v)
 
     def bind(kind, ident):
@@ -298,7 +300,8 @@ def _thread_ser(p: Process, chan_map=None, env=None, counter=None) -> str:
 
 
 def _channels_in_order(p: Process, restricted: set, acc: list):
-    """Restricted channels in AST preorder of their endpoint occurrences."""
+    """Restricted channels in AST preorder of their free endpoint
+    occurrences."""
     if isinstance(p, (Idle, ProcVar)):
         return
     if isinstance(p, (Input, Output)):
@@ -312,13 +315,13 @@ def _channels_in_order(p: Process, restricted: set, acc: list):
         _channels_in_order(p.right, restricted, acc)
         return
     if isinstance(p, (New, Rec)):
-        _channels_in_order(p.body, restricted, acc)
+        _channels_in_order(p.body, restricted - {p.channel} if isinstance(p, New) else restricted, acc)
         return
     raise TypeError(p)
 
 
-def _make_state(chan_anns: dict, threads: list, _known: dict) -> CanonState:
-    threads = [t for t in threads if not isinstance(t, Idle)]
+def _make_state(chan_anns: dict, threads: list) -> CanonState:
+    threads = [t for t, _e in threads if not isinstance(t, Idle)]
     used = set()
     for t in threads:
         for n in free_names(t):
@@ -338,7 +341,7 @@ def _make_state(chan_anns: dict, threads: list, _known: dict) -> CanonState:
         key=key,
         threads=tuple(threads),
         anns={c: chans[c] for c in occ},
-        sers=(),  # built from scratch: nothing to hand on
+        sers=tuple(map(_entry, threads)),  # step takes its used names from these
     )
 
 
@@ -362,7 +365,7 @@ def canonicalize(p: Process, outer_anns: dict | None = None) -> CanonState:
             threads.append(q)
 
     walk(p)
-    return _make_state(chan_anns, threads, {})
+    return _make_state(chan_anns, [(t, None) for t in threads])
 
 
 def is_user_process(p: Process) -> bool:
@@ -512,7 +515,7 @@ def _rename_clashing_news(p: Process, seen: set) -> Process:
     return go(p, {})
 
 
-def _merge(anns: dict, threads: list, _known: dict) -> CanonState:
+def _merge(anns: dict, threads: list) -> CanonState:
     chan_anns = dict(anns)
     flat: list = []
 
@@ -528,9 +531,9 @@ def _merge(anns: dict, threads: list, _known: dict) -> CanonState:
         else:
             flat.append(q)
 
-    for t in threads:
+    for t, _e in threads:
         walk(t)
-    return _make_state(chan_anns, flat, {})
+    return _make_state(chan_anns, [(t, None) for t in flat])
 
 
 def vcount(p: Process, x: str) -> int:
@@ -954,6 +957,24 @@ def _serialize(p: Process) -> list:
     return out
 
 
+def _entry(p: Process) -> tuple:
+    """The ``sers`` entry that ``sessprog.semantics._serialize`` gives,
+    built from ``_serialize``'s pieces and ``all_idents``: the joined
+    text, the runs of text joined between slots, the channels of the free
+    slots in order of first occurrence, and the identifiers as a set."""
+    parts, run = [], []
+    for x in _serialize(p):
+        if type(x) is str:
+            run.append(x)
+        else:
+            parts += ("".join(run), x)
+            run = []
+    parts.append("".join(run))
+    free = [x[0] for x in parts[1::2] if x[3]]
+    text = "".join([x if type(x) is str else x[2] for x in parts])
+    return text, tuple(parts), tuple(dict.fromkeys(free)), all_idents(p)
+
+
 class RecursiveParser(_Parser):
     """The parser of ``sessprog.syntax`` as it was before it ran on
     explicit stacks: one method per grammar rule, each calling the
@@ -1256,8 +1277,8 @@ def _residual_matches(s: CanonState, drop: int, want_kind: str, peer: Endpoint, 
     ``reachable`` that stops at the first match; past ``budget`` states it
     admits no new ones but still examines those it holds, so its answers
     are those of ``reachable`` followed by a scan of every state."""
-    threads = [t for i, t in enumerate(s.threads) if i != drop]
-    start = sem._make_state(s.anns, threads, {})
+    threads = [(t, None) for i, t in enumerate(s.threads) if i != drop]
+    start = sem._make_state(s.anns, threads)
     cls = Output if want_kind == "!" else Input
     seen, queue, truncated = {start.key}, [start], False
     for st in queue:

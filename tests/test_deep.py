@@ -24,6 +24,7 @@ from sessprog.cli import main
 from sessprog.gen import gen_well_typed_user
 from sessprog.measure import emeasure
 from sessprog.semantics import (
+    _serialize,
     approx_leq,
     approximant,
     approximant_type,
@@ -55,7 +56,6 @@ from sessprog.syntax import (
     TOut,
     TRec,
     TypeVar,
-    all_idents,
     free_names,
     free_proc_vars,
     free_type_vars,
@@ -144,7 +144,7 @@ def test_process_folds(chain):
     assert within(WALK_S, free_names, chain.body) == a
     assert within(WALK_S, free_proc_vars, chain) == frozenset()
     assert within(WALK_S, free_proc_vars, chain.body.left.body) == {"X"}
-    assert within(WALK_S, all_idents, chain) == {"a", "X", "Y", "x"}
+    assert set(within(WALK_S, _serialize, chain)[3]) == {"a", "X", "Y", "x"}
     finite = approximant(chain, 1)
     assert within(WALK_S, emeasure, finite) == (N + 1) + 2
 

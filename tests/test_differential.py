@@ -82,7 +82,6 @@ from sessprog.syntax import (
     ParseError,
     TypeVar,
     Var,
-    all_idents,
     free_names,
     free_proc_vars,
     free_type_vars,
@@ -213,8 +212,9 @@ def test_renamings_and_keys_match_reference_on_clashing_names():
         renamed += q != p
         seen = {"a"}
         assert _rename_clashing_news(p, set(seen)) == ref._rename_clashing_news(p, set(seen))
-        assert _rename_clashing_news(p, all_idents(p)) == ref._rename_clashing_news(p, all_idents(p))
-        ours, theirs = _merge({}, [p], {}), ref._merge({}, [p], {})
+        idents = ref.all_idents(p)
+        assert _rename_clashing_news(p, idents) == ref._rename_clashing_news(p, idents)
+        ours, theirs = _merge({}, [(p, None)]), ref._merge({}, [(p, None)])
         assert (ours.key, list(ours.anns.items()), ours.threads) == (
             theirs.key, list(theirs.anns.items()), theirs.threads
         )
@@ -329,17 +329,20 @@ def test_process_folds_printers_and_keys_match_the_recursive_walkers(monkeypatch
     for q in subs:
         assert free_names(q) == ref.free_names(q)
         assert free_proc_vars(q) == ref.free_proc_vars(q)
-        assert all_idents(q) == ref.all_idents(q)
         assert pretty_proc(q) == ref.pretty_proc(q)
-        assert semantics._serialize(q) == ref._serialize(q)
+        # the entry: text, runs and slots, and free channels as the
+        # recursive serialization regrouped gives them, and the identifiers
+        # of ``all_idents``, each once
+        (*entry, idents), (*theirs, their_idents) = semantics._serialize(q), ref._entry(q)
+        assert entry == theirs and len(idents) == len(their_idents) and set(idents) == their_idents
         if isinstance(q, (New, Rec)):  # the same term but for the name its binder binds
             field = "channel" if isinstance(q, New) else "var"
             renamed = replace(q, **{field: getattr(q, field) + "_"})
             assert approx_leq(q, q) and not approx_leq(q, renamed) and not ref.approx_leq(q, renamed)
-    ours = [_merge({}, [q], {}).key for q in subs]
+    ours = [_merge({}, [(q, None)]).key for q in subs]
     with monkeypatch.context() as m:
-        m.setattr(semantics, "_serialize", ref._serialize)
-        theirs = [_merge({}, [q], {}).key for q in subs]
+        m.setattr(semantics, "_serialize", ref._entry)
+        theirs = [_merge({}, [(q, None)]).key for q in subs]
     assert ours == theirs
     annotated = sum(isinstance(q, New) and q.pos_type is not None for q in subs)
     assert len(subs) > 8000 and annotated > 500

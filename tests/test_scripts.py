@@ -2,11 +2,15 @@
 a fresh interpreter, and the example report gives the verdict table of
 the shipped corpus.  The benchmark pair is not run here; it only has to
 refuse a parent directory without sessprog sources and fewer than three
-runs per side."""
+runs per side, and its reading of a metric is checked on constructed
+series."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -49,3 +53,42 @@ def test_bench_pair_needs_three_runs_per_side(tmp_path):
     r = _run(SCRIPTS / "bench_pair.py", SCRIPTS.parent, "--out", out, "--seed", 1, "--runs", 2)
     assert r.returncode == 2 and "at least 3 runs" in r.stderr
     assert not out.exists()
+
+
+def _compare():
+    spec = importlib.util.spec_from_file_location("bench_pair", SCRIPTS / "bench_pair.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.compare
+
+
+RATE = {"name": "programs_per_s", "better": "higher", "bound": 0.15}
+TIME = {"name": "verdict_ms_p50", "better": "lower", "bound": 0.2}
+RATES = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]  # quartiles 99 and 101
+TIMES = [x / 10 for x in RATES]  # quartiles 9.9 and 10.1
+WIDE = [50, 150, 60, 140, 70, 130, 80, 120, 90, 110]  # quartiles 67.5 and 132.5
+
+
+def _but(xs, first, delta):
+    """``xs`` with ``delta`` added to every value from position ``first`` on."""
+    return xs[:first] + [x + delta for x in xs[first:]]
+
+
+@pytest.mark.parametrize("metric, parent, change, verdict, won", [
+    (RATE, RATES, _but(RATES, 0, 10), "better", 10),
+    (RATE, RATES, _but(RATES, 1, 10), "better", 9),  # the tie is not won
+    (RATE, _but(RATES, 1, 10), RATES, "within bound", 0),  # one tie, nine losses
+    (RATE, RATES, _but(RATES, 2, 10), "within bound", 8),  # two ties: 8 of 10 is too few
+    (RATE, RATES, _but(RATES, 0, 1), "within bound", 10),  # not beyond the quartile distance
+    (RATE, RATES, _but(RATES, 0, -20), "worse", 0),
+    (RATE, WIDE, _but(WIDE, 0, -1), "unresolved", 0),  # the parent spreads wider than the bound
+    (TIME, TIMES, _but(TIMES, 0, -3), "better", 10),
+    (TIME, _but(TIMES, 1, -3), TIMES, "worse", 0),  # one tie, nine losses
+    (TIME, TIMES, _but(TIMES, 0, -0.1), "within bound", 10),
+    (TIME, TIMES, _but(TIMES, 0, 3), "worse", 0),
+    (TIME, [x / 10 for x in WIDE], [x / 10 - 0.1 for x in WIDE], "unresolved", 10),
+])
+def test_bench_pair_reads_a_metric(metric, parent, change, verdict, won):
+    result = _compare()(parent, change, metric)
+    assert (result["verdict"], result["pairs_won"]) == (verdict, won)
+

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessprog import semantics
+from sessprog import semantics, syntax
 from sessprog.gen import gen_finite, gen_user, gen_well_typed_user
 from sessprog.progress import oracle_dynamic
 from sessprog.semantics import (
@@ -192,21 +192,16 @@ def test_successors_come_in_label_order():
     assert both >= 100
 
 
-def _flat(pieces):
-    return "".join(x if type(x) is str else x[2] for x in pieces)
-
-
 def test_successors_built_from_handed_on_serializations_are_built_from_scratch(monkeypatch):
     # every state that step builds from its parent's serializations is
     # the state built from the same threads with none handed on: the
     # same key, thread objects in the same order and channels; and each
-    # serialization a state carries is a fresh one of its thread, with
-    # its runs of text joined
+    # entry a state carries is a fresh serialization of its thread
     merge, built = semantics._merge, []
 
-    def recording(anns, procs, known):
-        built.append((anns, procs, known, merge(anns, procs, known)))
-        return built[-1][3]
+    def recording(anns, threads):
+        built.append((anns, threads, merge(anns, threads)))
+        return built[-1][2]
 
     monkeypatch.setattr(semantics, "_merge", recording)
     rng = random.Random(2024)
@@ -217,32 +212,49 @@ def test_successors_built_from_handed_on_serializations_are_built_from_scratch(m
     for p in programs:
         r = reachable(canonicalize(p), max_states=300)
         edges += len(r.edges)
-        for anns, procs, known, st in built:
-            fresh = merge(anns, procs, {})
+        for anns, threads, st in built:
+            fresh = merge(anns, [(t, None) for t, _entry in threads])
             assert (st.key, list(st.anns.items())) == (fresh.key, list(fresh.anns.items()))
             assert len(st.threads) == len(fresh.threads)
             assert all(a is b for a, b in zip(st.threads, fresh.threads))
-            assert list(st.sers) == list(map(semantics._entry, st.threads))
-            for t, (_text, parts, _names, _free) in zip(st.threads, st.sers):
-                pieces = semantics._serialize(t)
-                assert [x for x in parts if type(x) is tuple] == [x for x in pieces if type(x) is tuple]
-                assert _flat(parts) == _flat(pieces)
-            handed_on += sum(id(t) in known for t in st.threads)
+            assert list(st.sers) == list(map(semantics._serialize, st.threads))
+            handed_on += sum(entry is not None for _t, entry in threads)
         built.clear()
     assert edges > 3000 and handed_on > 15_000  # successors do keep their parents' threads
 
 
 def test_one_step_serializes_no_thread_of_its_parent(monkeypatch):
+    # neither a serialization nor any walk of the kernel starts at a
+    # thread of the parent: what step needs of them is on their entries
     s = canonicalize(gen_well_typed_user(random.Random(7), cells=200))
-    serialized = []
-    serialize = semantics._serialize
+    walked = []
 
-    def counting(t):
-        serialized.append(t)
-        return serialize(t)
+    def recording(f, at):
+        def walk(*args):
+            walked.append((f.__name__, args[at]))
+            return f(*args)
+        return walk
 
-    monkeypatch.setattr(semantics, "_serialize", counting)
+    monkeypatch.setattr(semantics, "_serialize", recording(semantics._serialize, 0))
+    for module, name, at in ((syntax, "subterms", 0), (syntax, "fold", 1), (syntax, "rewrite", 1),
+                             (semantics, "subterms", 0), (semantics, "rewrite", 1)):
+        monkeypatch.setattr(module, name, recording(getattr(module, name), at))
     succs = step(s)
     assert len(s.threads) == 481 and len(succs) == 314
     parents = set(map(id, s.threads))
-    assert serialized and not any(id(t) in parents for t in serialized)
+    assert {name for name, _x in walked} >= {"_serialize", "rewrite"}
+    assert [name for name, x in walked if id(x) in parents] == []
+
+
+def test_merge_writes_a_bound_endpoint_by_its_binder():
+    # an unfreshened thread may bind the name of a hoisted channel: its
+    # bound endpoints get the binder's token, as they do after freshening
+    p = parse_process("new a.(a+!1.0 | a-?(y).new a.(a+!2.0 | a-?(x).0))")
+    key = semantics._merge({}, [(p, None)]).key
+    assert key == canonicalize(p).key
+    assert key.endswith("#0-?(%0).new %1.(%1+!2.0|%1-?(%2).0)")
+
+
+def test_serialize_lists_every_identifier():
+    *_text_parts_free, idents = semantics._serialize(parse_process("new a.rec[1]X.a+?(x).0"))
+    assert sorted(idents) == ["X", "a", "x"]

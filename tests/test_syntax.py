@@ -16,7 +16,6 @@ from sessprog.syntax import (
     Par,
     Rec,
     Var,
-    all_idents,
     co,
     fold,
     free_names,
@@ -145,11 +144,6 @@ def test_freshen_respects_reserved():
     p = parse_process("a+?(x).0")
     f = freshen(p, reserved={"x"})
     assert f.binder != "x"
-
-
-def test_all_idents():
-    p = parse_process("new a.rec[1]X.a+?(x).0")
-    assert all_idents(p) == {"a", "X", "x"}
 
 
 @settings(max_examples=60, deadline=None)
