@@ -4,9 +4,11 @@ Subcommands: check, run, explore, progress, oracle, measure, approx,
 dual.  Exit codes: 0 accept/verified/holds, 1 reject/violated, 2 parse
 or usage error (an unreadable FILE, an ill-formed type, an open program
 or a finite index where a user process is needed included), 3
-internal limit hit (state bound or pair budget).  A ``RecursionError``
-also exits 3, as a safety net: no walk of the library recurses, but
-dataclass ``==``, ``hash`` and ``repr`` on deep nodes still do.
+internal limit hit (state bound or pair budget), 4 internal fault (any
+other exception, with its traceback on stderr), so that a crash never
+reads as a reject.  A ``RecursionError`` exits 3, as a safety net: no
+walk of the library recurses, but dataclass ``==``, ``hash`` and
+``repr`` on deep nodes still do.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import os
 import random
 import sys
+import traceback
 
 from .measure import InfiniteIndex, measures
 from .progress import oracle_dynamic, verify_static
@@ -47,6 +50,7 @@ EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_PARSE = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 
 def _natural(s: str) -> int:
@@ -268,6 +272,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("limit: term nested too deeply for the recursion limit", file=sys.stderr)
         return EXIT_LIMIT
+    except Exception:  # a fault of the program, never a verdict
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from .syntax import (
     TOut,
     TRec,
     TypeVar,
-    free_type_vars,
+    free_names,
     pretty_type,
     subst_type_var,
 )
@@ -57,7 +57,7 @@ def well_formed(t: SessionType) -> tuple[bool, Violation | None]:
             if u.ident not in bound:
                 return False, Violation("unbound type variable", u)
         elif isinstance(u, (TIn, TOut)):
-            if free_type_vars(u.payload):
+            if free_names(u.payload):
                 return False, Violation("payload type is not closed", u.payload)
             todo += ((u.cont, bound), (u.payload, frozenset()))
         elif isinstance(u, TRec):

@@ -310,50 +310,29 @@ def map_values(f, p: Process, *args) -> Process:
 # Free names / variables
 
 
-def _free_names_at(q, body=frozenset(), right=frozenset()) -> frozenset:
-    t = type(q)
+def _free_at(x, first=frozenset(), second=frozenset()) -> frozenset:
+    t = type(x)
+    if t is ProcVar or t is TypeVar:
+        return frozenset([x.ident])
+    if t is Rec or t is TRec:
+        return first - {x.var}
     if t is Input:
-        body -= {Var(q.binder)}
-        return body if isinstance(q.subject, int) else body | {q.subject}
+        first -= {Var(x.binder)}
+        return first if isinstance(x.subject, int) else first | {x.subject}
     if t is Output:
-        return body | {v for v in (q.subject, q.payload) if not isinstance(v, int)}
-    if t is Par:
-        return body | right
+        return first | {v for v in (x.subject, x.payload) if not isinstance(v, int)}
     if t is New:
-        return body - {Endpoint(q.channel, "+"), Endpoint(q.channel, "-")}
-    return body  # idle and process variables have none, recursion binds none
+        return first - {Endpoint(x.channel, "+"), Endpoint(x.channel, "-")}
+    return first | second  # |, prefix types; the leaves have none
 
 
-def free_names(p: Process) -> frozenset:
-    """Free names of a process.
-
-    Input binds its variable, ``new a`` binds both endpoints a+ and a-,
-    recursion binds a process variable only (never names).
-    """
-    return fold(_free_names_at, p)
-
-
-def _free_proc_vars_at(q, body=frozenset(), right=frozenset()) -> frozenset:
-    t = type(q)
-    if t is Par:
-        return body | right
-    if t is ProcVar:
-        return frozenset([q.ident])
-    return body - {q.var} if t is Rec else body
-
-
-def free_proc_vars(p: Process) -> frozenset:
-    return fold(_free_proc_vars_at, p)
-
-
-def _free_type_vars_at(u, first=frozenset(), second=frozenset()) -> frozenset:
-    if isinstance(u, TypeVar):
-        return frozenset([u.ident])
-    return first - {u.var} if isinstance(u, TRec) else first | second
-
-
-def free_type_vars(t: SessionType) -> frozenset:
-    return fold(_free_type_vars_at, t)
+def free_names(x) -> frozenset:
+    """What is free in a process or a session type.  For a process, its
+    free names and the identifiers (strings) of its free process
+    variables: input binds its variable, ``new a`` binds both endpoints
+    a+ and a-, recursion binds a process variable only.  For a session
+    type, its free type variables."""
+    return fold(_free_at, x)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +379,7 @@ def subst_proc(p: Process, target: str, q: Process) -> Process | None:
     None (Undefined) when a free endpoint, free variable or free process
     variable of ``q`` would be captured by a binder in ``p``.
     """
-    names, pvars = free_names(q), free_proc_vars(q)
+    free = free_names(q)
 
     def go(r, capturing):  # capturing: some enclosing binder would capture q
         if isinstance(r, ProcVar):
@@ -410,12 +389,12 @@ def subst_proc(p: Process, target: str, q: Process) -> Process | None:
                 raise _Undefined  # (new a X)[a+!b+.0/X] is undefined
             return q, None
         if isinstance(r, Rec):
-            return r, None if r.var == target else capturing or r.var in pvars
+            return r, None if r.var == target else capturing or r.var in free
         if isinstance(r, Input):
-            return r, capturing or Var(r.binder) in names
+            return r, capturing or Var(r.binder) in free
         if isinstance(r, New):
             return r, capturing or any(
-                isinstance(n, Endpoint) and n.channel == r.channel for n in names
+                isinstance(n, Endpoint) and n.channel == r.channel for n in free
             )
         return r, capturing
 
@@ -438,7 +417,7 @@ def subst_type_var(t: SessionType, target: str, s: SessionType) -> SessionType:
             if not env:
                 return u, None
             if any(u.var in fv for _r, fv in env.values()):
-                body_fv = free_type_vars(u.body)
+                body_fv = free_names(u.body)
                 brought = frozenset().union(*(fv for x, (_r, fv) in env.items() if x in body_fv))
                 if u.var in brought:  # rename the binder to keep what is brought in free
                     fresh, k = u.var, 0
@@ -449,14 +428,16 @@ def subst_type_var(t: SessionType, target: str, s: SessionType) -> SessionType:
                     u = TRec(u.index, fresh, u.body)
         return u, env
 
-    return rewrite(go, t, {target: (s, free_type_vars(s))})
+    return rewrite(go, t, {target: (s, free_names(s))})
 
 
 # ---------------------------------------------------------------------------
 # Freshening
 
 def _ident_of(v, acc: set):
-    if isinstance(v, Var):
+    if isinstance(v, str):  # a process variable
+        acc.add(v)
+    elif isinstance(v, Var):
         acc.add(v.ident)
     elif isinstance(v, Endpoint):
         acc.add(v.channel)
@@ -492,7 +473,7 @@ def freshen(p: Process, reserved=()) -> Process:
     """Rename binders so every binder in the result is unique and distinct
     from every free name.  Binders whose names are not reused keep them,
     so already-fresh terms come back unchanged."""
-    seen = set(reserved) | free_proc_vars(p)
+    seen = set(reserved)
     for n in free_names(p):
         _ident_of(n, seen)
     seen = dict.fromkeys(seen, 0)

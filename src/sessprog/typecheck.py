@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .sestypes import (
+    UnboundTypeVar,
     dual_full,
     dual_rule,
     dual_strict_path,
@@ -44,8 +45,9 @@ from .syntax import (
     TRec,
     TypeVar,
     Var,
+    _free_at,
+    fold,
     free_names,
-    free_proc_vars,
     freshen,
     name_str,
     pretty_type,
@@ -211,24 +213,15 @@ def _discardable(t: SessionType) -> bool:
     return isinstance(t, (End, Base))
 
 
-def _used_names(p: Process, gamma: dict) -> frozenset:
-    """Free names of p, counting a free process variable as using the
-    domain of its declared environment."""
-    names = set(free_names(p))
-    for x in free_proc_vars(p):
-        if x in gamma:
-            names |= set(gamma[x])
-    return frozenset(names)
-
-
-def split_env(delta: dict, left: Process, right: Process, gamma: dict):
-    """Distribute each binding to the side where the name occurs; a name
-    used by both sides breaks linearity, a name used by neither goes left
-    and must be discardable there."""
-    if not delta:
-        return {}, {}
-    lnames = _used_names(left, gamma)
-    rnames = _used_names(right, gamma)
+def split_env(delta: dict, left_free, right_free, gamma: dict):
+    """Distribute each binding to the side where the name occurs, given
+    what is free in each side (``free_names``); a free process variable
+    uses the domain of its declared environment.  A name used by both
+    sides breaks linearity, a name used by neither goes left and must be
+    discardable there."""
+    lnames, rnames = (
+        free.union(*(gamma[x] for x in free if x in gamma)) for free in (left_free, right_free)
+    )
     dl, dr = {}, {}
     for u, t in delta.items():
         if u in lnames and u in rnames:
@@ -248,7 +241,7 @@ def split_env(delta: dict, left: Process, right: Process, gamma: dict):
 def _ob(sigma, t, pos):
     try:
         return obligation(sigma, t)
-    except Exception as e:
+    except UnboundTypeVar as e:
         _fail("SubjectTypeMismatch", f"obligation undefined: {e}", pos)
 
 
@@ -259,7 +252,16 @@ def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> ClosedVerd
     Returns the emitted constraints, with no solution: satisfiability is
     decided separately by solve.  The judgments still to check wait on a
     stack: each rule pushes its premises, the right side of a ``|``
-    before its left."""
+    before its left.  What is free in the two sides of every ``|``, which
+    ``split_env`` reads, comes from one fold over ``p``, made first."""
+    sides: dict = {}  # id of each | in p: what is free in its two sides
+
+    def free_at(q, *vals):
+        if type(q) is Par:
+            sides[id(q)] = vals
+        return _free_at(q, *vals)
+
+    fold(free_at, p)
     out: list = []
     todo = [(sigma, gamma, dict(delta), p)]
     try:
@@ -335,7 +337,7 @@ def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> ClosedVerd
                 todo.append((sigma, gamma, rest, p.body))
 
             elif isinstance(p, Par):
-                dl, dr = split_env(delta, p.left, p.right, gamma)
+                dl, dr = split_env(delta, *sides[id(p)], gamma)
                 todo += ((sigma, gamma, dr, p.right), (sigma, gamma, dl, p.left))
 
             elif isinstance(p, New):
@@ -464,7 +466,7 @@ class NotClosed(Exception):
 
 
 def require_closed(p: Process) -> None:
-    fv = free_names(p)
+    fv = [n for n in free_names(p) if not isinstance(n, str)]  # process variables aside
     if fv:
         names = ", ".join(sorted(name_str(n) for n in fv))
         raise NotClosed(f"free names in a closed program: {names}")

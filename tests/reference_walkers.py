@@ -26,9 +26,11 @@ And the recursive parser and type checker as they were before they ran
 on explicit stacks: ``RecursiveParser`` is ``syntax._Parser`` with one
 method per grammar rule, and ``check`` hands the judgment to the
 recursive ``_check``, which has separate input and output rules.  These
-two use the library's helpers (the token methods, environment
-splitting, type operations), so only the parsing and checking logic is
-compared.
+two use the library's helpers (the token methods, type operations), so
+only the parsing and checking logic is compared.  The checker splits
+the environment at each ``|`` as the library did before one fold gave
+the free names of every ``|``: ``split_env`` walks both sides with the
+recursive ``free_names`` and ``free_proc_vars``.
 
 And the progress oracle as it was before it answered every residual
 question from its one exploration: ``oracle_dynamic`` explores the
@@ -93,7 +95,7 @@ from sessprog.syntax import (
     name_str,
     pri_str,
 )
-from sessprog.typecheck import Constraint, _discardable, _fail, _Fail, _ob, split_env
+from sessprog.typecheck import Constraint, _discardable, _fail, _Fail, _ob
 
 
 def subst_name(p: Process, target: str, repl) -> Process | None:
@@ -1071,6 +1073,39 @@ class RecursiveParser(_Parser):
                 return self.aliases[tok[1]]
             return TypeVar(tok[1])
         self.error("expected a type", expected=("type",))
+
+
+def _used_names(p: Process, gamma: dict) -> frozenset:
+    """Free names of p, counting a free process variable as using the
+    domain of its declared environment."""
+    names = set(free_names(p))
+    for x in free_proc_vars(p):
+        if x in gamma:
+            names |= set(gamma[x])
+    return frozenset(names)
+
+
+def split_env(delta: dict, left: Process, right: Process, gamma: dict):
+    """``typecheck.split_env`` as it was when it walked both sides of the
+    ``|`` itself."""
+    if not delta:
+        return {}, {}
+    lnames = _used_names(left, gamma)
+    rnames = _used_names(right, gamma)
+    dl, dr = {}, {}
+    for u, t in delta.items():
+        if u in lnames and u in rnames:
+            _fail("LinearityViolation", f"{name_str(u)} is used by both parallel components")
+        if u in rnames:
+            dr[u] = t
+        else:
+            if u not in lnames and not _discardable(t):
+                _fail(
+                    "UnusedLinearName",
+                    f"{name_str(u)} : {tc.pretty_type(t)} is used by neither parallel component",
+                )
+            dl[u] = t
+    return dl, dr
 
 
 def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> tc.ClosedVerdict:

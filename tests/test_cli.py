@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sessprog import semantics, sestypes
+from sessprog import semantics, sestypes, typecheck
 from sessprog.cli import main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -235,6 +235,16 @@ def test_deep_nesting_gets_its_verdict(tmp_path, capsys):
     deep.write_text("new a." + "a+!1." * 5000 + "0")
     code, out, _ = run(capsys, "check", deep)
     assert code == 1 and out == "reject\n1:7: SubjectTypeMismatch: a+ : end cannot send\n"
+
+
+def test_an_internal_fault_is_not_a_reject(monkeypatch, capsys):
+    def boom(sigma, t):
+        return 1 / 0
+
+    monkeypatch.setattr(typecheck, "obligation", boom)
+    code, out, err = run(capsys, "check", CORPUS / "forwarder.ssp")
+    assert code == 4 and out == ""
+    assert err.startswith("Traceback") and err.endswith("ZeroDivisionError: division by zero\n")
 
 
 def test_explore_keeps_a_guarded_restriction_apart(tmp_path, capsys):

@@ -83,8 +83,6 @@ from sessprog.syntax import (
     TypeVar,
     Var,
     free_names,
-    free_proc_vars,
-    free_type_vars,
     children,
     freshen,
     parse_program,
@@ -240,7 +238,7 @@ def test_measures_match_the_recursive_formulas():
             if isinstance(r, Rec):
                 assert vcount(r.body, r.var) == ref.vcount(r.body, r.var)
                 compared += 1
-        for x in free_proc_vars(p) | {"Unused"}:
+        for x in ref.free_proc_vars(p) | {"Unused"}:
             assert vcount(p, x) == ref.vcount(p, x)
     assert compared > 3000 and max(map(emeasure, programs)) > 10**4
     states = 0
@@ -327,8 +325,7 @@ def _process_corpus():
 def test_process_folds_printers_and_keys_match_the_recursive_walkers(monkeypatch):
     subs = _process_corpus()
     for q in subs:
-        assert free_names(q) == ref.free_names(q)
-        assert free_proc_vars(q) == ref.free_proc_vars(q)
+        assert free_names(q) == ref.free_names(q) | ref.free_proc_vars(q)
         assert pretty_proc(q) == ref.pretty_proc(q)
         # the entry: text, runs and slots, and free channels as the
         # recursive serialization regrouped gives them, and the identifiers
@@ -392,10 +389,10 @@ def test_type_operations_match_the_recursive_walkers(monkeypatch):
     types = _type_corpus(monkeypatch, rng)
     violations, raised = set(), set()
     for t in types:
-        assert free_type_vars(t) == ref.free_type_vars(t)
+        assert free_names(t) == ref.free_type_vars(t)
         assert pretty_type(t) == ref.pretty_type(t)
         assert type_key(t) == ref.type_key(t)
-        env = {x: f"@{i}" for i, x in enumerate(sorted(free_type_vars(t)))}
+        env = {x: f"@{i}" for i, x in enumerate(sorted(free_names(t)))}
         assert type_key(t, env, len(env)) == ref.type_key(t, env, len(env))
         assert pretty_type(syntactic_dual(t)) == pretty_type(ref.syntactic_dual(t))
         ok, v = well_formed(t)
@@ -505,14 +502,30 @@ def test_parser_matches_the_recursive_parser(monkeypatch):
     assert len(texts) > 3000 and 500 < sum(outcomes) < len(texts) - 500  # both errors and ASTs
 
 
+def _beside(p, side):
+    """``p`` with every process variable ``X`` put in a ``|``: ``X | 0``,
+    ``0 | X`` or ``X | X``.  The names ``X`` is declared with then reach
+    a side of a ``|`` only through ``X``."""
+
+    def go(q, env):
+        if isinstance(q, ProcVar):
+            return Par(*{"left": (q, Idle()), "right": (Idle(), q), "both": (q, q)}[side]), None
+        return q, env
+
+    return syntax.rewrite(go, p, ())
+
+
 def test_checker_matches_the_recursive_checker(monkeypatch):
-    """The worklist checker against the recursive ``_check`` at indices
-    0, 1 and inf: constraints with origin and position, diagnostics and
-    solutions, variables in the same order.  An open program's verdict is
-    the text of its ``NotClosed``."""
+    """The worklist checker, which splits the environment at every ``|``
+    by the free names of one fold, against the recursive ``_check``,
+    which walks both sides of each ``|``, at indices 0, 1 and inf:
+    constraints with origin and position, diagnostics and solutions,
+    variables in the same order.  An open program's verdict is the text
+    of its ``NotClosed``."""
     rng = random.Random(31)
     programs = [parse_program(f.read_text()).process for f in sorted(CORPUS.glob("*.ssp"))]
     programs += [gen_user(rng) for _ in range(300)] + [gen_well_typed_user(rng) for _ in range(150)]
+    recursive = programs[-150:]
     programs += [gen_well_typed(rng) for _ in range(150)]
     types = [gen_type(rng) for _ in range(50)]
     programs += [New("a", t, s, Idle()) for t in types for s in (t, syntactic_dual(t))]
@@ -520,6 +533,7 @@ def test_checker_matches_the_recursive_checker(monkeypatch):
         for text in _mutants(rng, pretty_proc(p)):
             with contextlib.suppress(ParseError):
                 programs.append(parse_program(text).process)
+    programs += [_beside(p, side) for p in recursive for side in ("left", "right", "both")]
 
     def verdicts():
         out = []

@@ -3,7 +3,8 @@ imported name is used (``__init__.py`` re-exports names, so only the
 placement rule applies to it), every module-level function and class
 is used somewhere outside its own body, every defaulted parameter is
 passed by some call, the recursive functions are the ones pinned in
-``RECURSIVE``, and every function the benchmark's tracer wraps by name
+``RECURSIVE``, no handler but the command line's last one catches every
+exception, and every function the benchmark's tracer wraps by name
 exists."""
 
 import ast
@@ -284,6 +285,60 @@ def test_the_inventory_catches_each_kind_of_recursion(tmp_path):
     assert recursive_functions([lib]) == {
         "lib:walk", "lib:even", "lib:odd", "lib:outer.go", "lib:P.a", "lib:P.b",
     }
+
+
+def broad_handlers(paths: list) -> list:
+    """Every bare ``except`` and every handler of ``Exception`` or
+    ``BaseException`` in ``paths``, but the last handler of ``main`` in
+    ``cli.py``: a handler that catches every fault turns a crash into a
+    verdict or a message, so only the last resort of the command line,
+    which exits with its own code, may have one."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        last = {
+            id(t.handlers[-1]) for f in tree.body
+            if isinstance(f, ast.FunctionDef) and f.name == "main" and path.name == "cli.py"
+            for t in f.body if isinstance(t, ast.Try)
+        }
+        for h in ast.walk(tree):
+            if isinstance(h, ast.ExceptHandler) and id(h) not in last:
+                caught = h.type.elts if isinstance(h.type, ast.Tuple) else [h.type]
+                if any(c is None or getattr(c, "id", None) in ("Exception", "BaseException") for c in caught):
+                    found.append(f"{path.name}:{h.lineno}: catches every exception")
+    return found
+
+
+def test_no_handler_catches_every_exception():
+    assert broad_handlers(_modules()) == []
+
+
+def test_the_check_catches_broad_handlers(tmp_path):
+    cli = tmp_path / "cli.py"
+    cli.write_text(
+        "def main():\n"
+        "    try:\n        return 0\n"
+        "    except Exception:\n        return 1\n"
+        "    except (ValueError, BaseException):\n        return 2\n"
+        "    except Exception:\n        return 4\n\n\n"
+        "def f():\n"
+        "    try:\n        return 0\n"
+        "    except Exception:\n        return 1\n"
+        "    except:\n        return 4\n"
+    )
+    other = tmp_path / "lib.py"
+    other.write_text(cli.read_text())
+    assert broad_handlers([cli, other]) == [
+        "cli.py:4: catches every exception",
+        "cli.py:6: catches every exception",
+        "cli.py:15: catches every exception",
+        "cli.py:17: catches every exception",
+        "lib.py:4: catches every exception",
+        "lib.py:6: catches every exception",
+        "lib.py:8: catches every exception",
+        "lib.py:15: catches every exception",
+        "lib.py:17: catches every exception",
+    ]
 
 
 def tracer_targets(path: pathlib.Path) -> tuple:

@@ -19,7 +19,6 @@ from sessprog.syntax import (
     co,
     fold,
     free_names,
-    free_proc_vars,
     freshen,
     parse_process,
     parse_program,
@@ -95,7 +94,11 @@ def test_free_names():
 
 
 def test_free_proc_vars():
-    assert free_proc_vars(parse_process("rec[2]X.(X | Y)")) == frozenset({"Y"})
+    # process variables come as their identifiers, next to the free names
+    assert free_names(parse_process("rec[2]X.(X | Y)")) == frozenset({"Y"})
+    assert free_names(parse_process("rec[2]X.(a+!1.X | Y)")) == frozenset({Endpoint("a", "+"), "Y"})
+    # and a type's free type variables
+    assert free_names(parse_type("rec[1]t. ?[0,1] int . ![1,2] int . u")) == frozenset({"u"})
 
 
 def test_subst_name_basic():

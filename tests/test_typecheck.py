@@ -12,7 +12,7 @@ from helpers import CORPUS, ann_delta, corpus_process, subject_reduction_holds, 
 from sessprog import syntax, typecheck
 from sessprog.gen import gen_well_typed, gen_well_typed_user
 from sessprog.semantics import approximant, canonicalize, state_to_process
-from sessprog.syntax import INF, Endpoint, parse_process, parse_type
+from sessprog.syntax import INF, Endpoint, Process, free_names, freshen, parse_process, parse_type
 from sessprog.typecheck import (
     Assignment,
     Constraint,
@@ -242,14 +242,21 @@ def test_split_env_by_usage():
     delta = {E("a", "+"): parse_type("![0,0] int . end"), E("a", "-"): parse_type("?[0,0] int . end")}
     left = parse_process("a+!1.0")
     right = parse_process("a-?(x).0")
-    dl, dr = split_env(delta, left, right, {})
+    dl, dr = split_env(delta, free_names(left), free_names(right), {})
     assert set(dl) == {E("a", "+")} and set(dr) == {E("a", "-")}
 
 
 def test_split_env_unused_end_goes_left():
     delta = {E("c", "+"): parse_type("end")}
-    dl, dr = split_env(delta, parse_process("0"), parse_process("0"), {})
+    dl, dr = split_env(delta, frozenset(), frozenset(), {})
     assert set(dl) == {E("c", "+")} and not dr
+
+
+def test_split_env_counts_the_names_a_process_variable_is_declared_with():
+    t = parse_type("![0,0] int . end")
+    gamma = {"X": {E("a", "+"): t}}
+    dl, dr = split_env({E("a", "+"): t}, frozenset(), frozenset({"X"}), gamma)
+    assert not dl and set(dr) == {E("a", "+")}
 
 
 # --- context reduction and balancing --------------------------------------
@@ -320,17 +327,33 @@ def test_approximant_typability(seed, n):
     assert check_closed(approximant(p, n), n).ok
 
 
-def test_split_env_skips_an_empty_environment(monkeypatch):
-    # delta is empty at every top-level | of a multi-cell program, so the
-    # used-name sets of its sides are never needed
-    calls = []
-    free_names = syntax.free_names
+def test_check_folds_its_process_once(monkeypatch):
+    # what is free in both sides of every | comes from one fold over the
+    # whole process, not from walks of each side at each |
+    p = freshen(gen_well_typed_user(random.Random(6), cells=300))
+    folded = []
+    fold = syntax.fold
 
-    def counting(p):
-        calls.append(None)
-        return free_names(p)
+    def counting(f, x):
+        if isinstance(x, Process):
+            folded.append(x)
+        return fold(f, x)
 
-    monkeypatch.setattr(syntax, "free_names", counting)  # recursive calls too
-    monkeypatch.setattr(typecheck, "free_names", counting)
-    assert check_closed(gen_well_typed_user(random.Random(6), cells=300), INF).ok
-    assert len(calls) < 50_000
+    monkeypatch.setattr(syntax, "fold", counting)
+    monkeypatch.setattr(typecheck, "fold", counting)
+    assert check({}, {}, {}, p, INF).ok
+    assert len(folded) == 1 and folded[0] is p
+
+
+def test_a_fault_in_the_checker_is_not_a_reject(monkeypatch):
+    # only an unbound type variable makes an obligation undefined
+    delta = {E("a", "+"): parse_type("![0,1] int . end"), E("b", "+"): parse_type("t")}
+    v = check_open(delta, parse_process("a+!1.0"), INF)
+    assert [str(d) for d in v.diagnostics] == ["1:1: SubjectTypeMismatch: obligation undefined: t"]
+
+    def boom(sigma, t):
+        return 1 / 0
+
+    monkeypatch.setattr(typecheck, "obligation", boom)
+    with pytest.raises(ZeroDivisionError):
+        check_closed(parse_process("new a : ![0,1] int . end.(a+!1.0 | a-?(x).0)"), INF)
