@@ -13,16 +13,18 @@ names of hoisted channels, so congruent states can get different keys
 
 A state carries, next to each thread, the entry one walk of the thread
 yields: sort text, text runs and endpoint slots, free channels and
-every identifier.  A reduction changes at most two threads, so ``step``
-hands ``_merge`` the parent's ``(thread, entry)`` pairs by position,
-the reduced ones replaced by ``(new term, None)``: a successor
-serializes only the threads its reduction made, and every key is the
-one a from-scratch build gives.
+every identifier.  Threads are handed on by identity to successors, so
+one exploration memoizes, by thread identity, what a thread turns into
+(``_reduct``): a sender's continuation, a receiver's per payload, an
+unfolding per choice of fresh names for its ``new`` binders.  A
+successor is its parent's ``(thread, entry)`` pairs with those pieces
+spliced in, and its key is the one a from-scratch build gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from .sestypes import type_key
 from .syntax import (
@@ -41,11 +43,11 @@ from .syntax import (
     Var,
     children,
     co,
+    fresh_name,
     freshen,
     map_values,
     name_str,
     pretty_proc,
-    rebind,
     rename_value,
     rewrite,
     subst_name,
@@ -167,14 +169,12 @@ def _serialize(p: Process) -> tuple:
 
 def _make_state(chan_anns: dict, threads: list) -> CanonState:
     """The canonical state of the non-idle ``threads``, ``(process, sers
-    entry or None)`` pairs, under ``chan_anns``; a thread without an entry
-    is serialized."""
-    sers = [(t, entry or _serialize(t)) for t, entry in threads]
-    used = set().union(*[entry[2] for _t, entry in sers])
-    chans = {c: chan_anns[c] for c in chan_anns if c in used}
+    entry)`` pairs, under ``chan_anns``."""
     # order threads by their channel-agnostic serialization, then number
     # the restricted channels by first free occurrence in that order
-    sers.sort(key=lambda te: te[1][0])
+    sers = sorted(threads, key=lambda te: te[1][0])
+    used = set().union(*[entry[2] for _t, entry in sers])
+    chans = {c: chan_anns[c] for c in chan_anns if c in used}
     chan_map: dict = {}
     for _t, (_text, _parts, free, _idents) in sers:
         for c in free:
@@ -195,24 +195,24 @@ def _make_state(chan_anns: dict, threads: list) -> CanonState:
     )
 
 
-def _merge(anns: dict, threads: list) -> CanonState:
-    """Flatten parallel composition, drop idle components and hoist the
-    unguarded restrictions of ``threads``, ``(process, sers entry or
-    None)`` pairs, next to the channels in ``anns``.  A process with an
-    entry is a thread and keeps its entry."""
-    chan_anns = dict(anns)
+def _flatten(p: Process) -> tuple:
+    """Flatten the parallel composition of ``p``, drop its idle components
+    and hoist its unguarded restrictions: the hoisted channels, each with
+    its ``(pos_type, neg_type)``, and the threads left to right, each
+    with its ``_serialize`` entry."""
+    hoisted: dict = {}
     flat: list = []
-    stack = threads[::-1]
+    stack = [p]
     while stack:
-        q, entry = stack.pop()
+        q = stack.pop()
         if isinstance(q, Par):
-            stack += ((q.right, None), (q.left, None))
+            stack += (q.right, q.left)
         elif isinstance(q, New):
-            chan_anns[q.channel] = (q.pos_type, q.neg_type)
-            stack.append((q.body, None))
+            hoisted[q.channel] = (q.pos_type, q.neg_type)
+            stack.append(q.body)
         elif not isinstance(q, Idle):
-            flat.append((q, entry))
-    return _make_state(chan_anns, flat)
+            flat.append((q, _serialize(q)))
+    return hoisted, flat
 
 
 def canonicalize(p: Process) -> CanonState:
@@ -221,7 +221,7 @@ def canonicalize(p: Process) -> CanonState:
     endpoints are unused.  Idempotent and invariant under the structural
     congruence laws.  Freshening first keeps a restriction from being
     merged with a same-named one or capturing a received endpoint."""
-    return _merge({}, [(freshen(p), None)])
+    return _make_state(*_flatten(freshen(p)))
 
 
 def state_to_process(s: CanonState) -> Process:
@@ -290,27 +290,66 @@ def approx_leq(p, q) -> bool:
     return True
 
 
-def _rename_clashing_news(p: Process, seen: set) -> Process:
-    """Rename ``new`` binders whose channel name is already taken; needed
-    because unfolding duplicates restriction binders and hoisting requires
+def _rename_news(p: Process, names: tuple) -> Process:
+    """``p`` with its ``new`` binders, in preorder, renamed to ``names``:
+    an unfolding duplicates restriction binders, and hoisting requires
     globally unique channels.  Other binders are left alone."""
-    seen = dict.fromkeys(seen, 0)
+    names = iter(names)
 
     def go(q, cenv):  # cenv: the channels renamed so far
         if cenv:
             q = map_values(rename_value, q, {}, cenv)
         if isinstance(q, New):
-            q, cenv = rebind(q, "channel", cenv, seen)
+            c = next(names)
+            if c != q.channel:
+                q, cenv = replace(q, channel=c), {**cenv, q.channel: c}
         return q, cenv
 
     return rewrite(go, p, {})
 
 
-def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
-    """All one-step reductions of a canonical state, in ``(kind,
-    positions)`` order: communications between complementary prefixes on
-    peer endpoints, then unfoldings of recursions with nonzero index
-    (decremented unless infinite)."""
+def _reduct(memo: dict, t: Process, way) -> tuple:
+    """What ``t`` turns into, ``_flatten``ed, made once per ``memo`` (kept
+    by ``t``'s identity, ``t`` pinned): a sender's continuation (``way``
+    None), a receiver's with the payload ``way``, or a recursion's
+    unfolding with its ``new`` binders renamed to ``way`` in preorder; for
+    a recursion, ``way`` None (asked first) gives the unrenamed unfolding
+    and its ``new`` binders' names."""
+    ways = memo.setdefault(id(t), (t, {}))[1]
+    if way not in ways:
+        if isinstance(t, Output):
+            ways[way] = _flatten(t.body)
+        elif isinstance(t, Input):
+            q = subst_name(t.body, t.binder, way)
+            if q is None:  # unique channel binders make this unreachable
+                raise RuntimeError("capture during communication")
+            ways[way] = _flatten(q)
+        elif way is None:
+            q = subst_proc(t.body, t.var, Rec(t.index - 1, t.var, t.body))
+            if q is None:  # freshening guarantees this cannot happen
+                raise RuntimeError("capture during recursion unfolding")
+            ways[None] = q, [r.channel for r in subterms(q) if isinstance(r, New)]
+        else:
+            ways[way] = _flatten(_rename_news(ways[None][0], way))
+    return ways[way]
+
+
+def _successor(s: CanonState, pairs: list, reduced: list) -> CanonState:
+    """``s``, with pairs ``pairs``, where each ``(position, (hoisted,
+    flat))`` of ``reduced``, in position order, replaces a thread."""
+    chan_anns, threads, last = s.anns, [], 0
+    for i, (hoisted, flat) in reduced:
+        if hoisted:
+            chan_anns = {**chan_anns, **hoisted}
+        threads += pairs[last:i]
+        threads += flat
+        last = i + 1
+    threads += pairs[last:]
+    return _make_state(chan_anns, threads)
+
+
+def _step(s: CanonState, memo: dict) -> list[tuple[RedexLabel, CanonState]]:
+    """``step``, taking the reducts of ``s``'s threads from ``memo``."""
     out = []
     pairs = list(zip(s.threads, s.sers))
     for i, t in enumerate(s.threads):
@@ -322,29 +361,27 @@ def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
                 continue
             if u.subject.channel != a.channel or u.subject.polarity != co(a.polarity):
                 continue
-            recv = subst_name(u.body, u.binder, t.payload)
-            if recv is None:  # unique channel binders make this unreachable
-                raise RuntimeError("capture during communication")
-            threads = pairs.copy()
-            threads[i], threads[j] = (t.body, None), (recv, None)
+            reduced = sorted([(i, _reduct(memo, t, None)), (j, _reduct(memo, u, t.payload))])
             label = RedexLabel("comm", (i, j), channel=a.channel, payload=t.payload)
-            out.append((label, _merge(s.anns, threads)))
+            out.append((label, _successor(s, pairs, reduced)))
 
     used = None  # every identifier of the state, built at the first unfolding
     for i, t in enumerate(s.threads):
         if isinstance(t, Rec) and t.index > 0:
             if used is None:
-                used = set(s.anns).union(*[entry[3] for entry in s.sers])
-            folded = Rec(t.index - 1, t.var, t.body)
-            body = subst_proc(t.body, t.var, folded)
-            if body is None:  # freshening guarantees this cannot happen
-                raise RuntimeError("capture during recursion unfolding")
-            body = _rename_clashing_news(body, used)
-            threads = pairs.copy()
-            threads[i] = (body, None)
-            label = RedexLabel("rec", (i,))
-            out.append((label, _merge(s.anns, threads)))
+                used = dict.fromkeys(chain(s.anns, *[entry[3] for entry in s.sers]), 0)
+            taken = used.copy()
+            names = tuple(fresh_name(c, taken) for c in _reduct(memo, t, None)[1])
+            out.append((RedexLabel("rec", (i,)), _successor(s, pairs, [(i, _reduct(memo, t, names))])))
     return out
+
+
+def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
+    """All one-step reductions of a canonical state, in ``(kind,
+    positions)`` order: communications between complementary prefixes on
+    peer endpoints, then unfoldings of recursions with nonzero index
+    (decremented unless infinite)."""
+    return _step(s, {})
 
 
 def is_normal_form(s: CanonState) -> bool:
@@ -361,7 +398,7 @@ class Reachable:
 
 def reachable(s: CanonState, max_states: int = 100_000) -> Reachable:
     """Deterministic BFS over ``step``, deduplicating by canonical
-    equality."""
+    equality.  One memo of reducts serves the whole exploration."""
     if max_states <= 0:
         raise ValueError("max_states must be positive")
     states = {s.key: s}
@@ -369,10 +406,11 @@ def reachable(s: CanonState, max_states: int = 100_000) -> Reachable:
     frontier = [s]
     edges = []
     truncated = False
+    memo: dict = {}
     while frontier:
         nxt = []
         for st in frontier:
-            for label, succ in step(st):
+            for label, succ in _step(st, memo):
                 edges.append((st, label, succ))
                 if succ.key not in states:
                     if len(states) >= max_states:

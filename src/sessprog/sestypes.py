@@ -50,25 +50,30 @@ class Violation:
 def well_formed(t: SessionType) -> tuple[bool, Violation | None]:
     """Check contractivity (no rec t1..rec tn.t1 chains), stratification
     (payload types closed) and that free type variables are declared."""
-    todo = [(t, frozenset())]  # subterms to check, each with its bound variables
+    bound: dict = {}  # type variable -> how many enclosing recs bind it
+    todo: list = [t]  # subterms to check, and (strings) variables going out of scope
     while todo:
-        u, bound = todo.pop()
-        if isinstance(u, TypeVar):
-            if u.ident not in bound:
+        u = todo.pop()
+        if type(u) is str:
+            bound[u] -= 1
+        elif isinstance(u, TypeVar):
+            if not bound.get(u.ident):
                 return False, Violation("unbound type variable", u)
         elif isinstance(u, (TIn, TOut)):
+            # a closed payload binds every variable in it, whatever is in scope
             if free_names(u.payload):
                 return False, Violation("payload type is not closed", u.payload)
-            todo += ((u.cont, bound), (u.payload, frozenset()))
-        elif isinstance(u, TRec):
-            chain = {u.var}
-            body = u.body
-            while isinstance(body, TRec):
-                chain.add(body.var)
-                body = body.body
-            if isinstance(body, TypeVar) and body.ident in chain:
-                return False, Violation("type is not contractive", u)
-            todo.append((u.body, bound | {u.var}))
+            todo += (u.cont, u.payload)
+        elif isinstance(u, TRec):  # the head of a maximal chain of recs, walked once
+            head, chain = u, []
+            while isinstance(u, TRec):
+                chain.append(u.var)
+                u = u.body
+            if isinstance(u, TypeVar) and u.ident in chain:
+                return False, Violation("type is not contractive", head)
+            for x in chain:
+                bound[x] = bound.get(x, 0) + 1
+            todo += (*chain, u)
         elif not isinstance(u, (End, Base)):
             raise TypeError(u)
     return True, None

@@ -443,17 +443,23 @@ def _ident_of(v, acc: set):
         acc.add(v.channel)
 
 
-def rebind(q: Process, binder: str, env: dict, taken: dict):
-    """Rename the ``binder`` field of ``q`` to the first of ``name``,
-    ``name_1``, ``name_2``, ... not in ``taken``, which gains it.  Returns
-    ``q`` and ``env``, both extended only when the name changed.  A taken
-    name maps to the last suffix given to it, so the search resumes there."""
-    old = getattr(q, binder)
+def fresh_name(old: str, taken: dict) -> str:
+    """The first of ``old``, ``old_1``, ``old_2``, ... not in ``taken``,
+    which gains it.  A taken name maps to the last suffix given to it, so
+    the search resumes there."""
     new, k = old, taken.get(old, 0)
     while new in taken:
         k += 1
         new = f"{old}_{k}"
     taken[old], taken[new] = k, 0
+    return new
+
+
+def rebind(q: Process, binder: str, env: dict, taken: dict):
+    """Rename the ``binder`` field of ``q`` to its ``fresh_name`` in
+    ``taken``; ``q`` and ``env`` change only when the name does."""
+    old = getattr(q, binder)
+    new = fresh_name(old, taken)
     if new == old:
         return q, env
     return replace(q, **{binder: new}), {**env, old: new}
@@ -576,7 +582,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_KEYWORDS = {"new", "rec", "inf", "end", "int", "type"}
+_KEYWORDS = frozenset({"new", "rec", "inf", "end", "int", "type"})
 
 
 def _tokenize(text: str):

@@ -2,9 +2,9 @@
 were before the traversal kernel, each with its own constructor
 dispatch: the four-walk canonical key (``_thread_ser``,
 ``_channels_in_order``, ``_make_state``), ``canonicalize`` without
-freshening, ``freshen``, ``approximant``, ``approx_leq``,
-``_rename_clashing_news`` and the two substitutions.  Also the two
-recursive measure formulas of ``sessprog.measure`` as they were before
+freshening, ``_flatten``, ``freshen``, ``approximant``, ``approx_leq``,
+``_rename_clashing_news`` and ``_rename_news``, and the two
+substitutions.  Also the two recursive measure formulas of ``sessprog.measure`` as they were before
 E and V came from one walk: ``emeasure`` calls ``vcount`` under every
 ``rec``, so a chain of n nested ``rec`` walks the term about 2^n times.
 And the two recursive duality checkers of ``sessprog.sestypes`` as they
@@ -475,10 +475,9 @@ def approx_leq_type(t: SessionType, s: SessionType) -> bool:
     raise TypeError(t)
 
 
-def _rename_clashing_news(p: Process, seen: set) -> Process:
-    """Rename ``new`` binders whose channel name is already taken; needed
-    because unfolding duplicates restriction binders and hoisting requires
-    globally unique channels.  Other binders are left alone."""
+def _rename_with(p: Process, pick) -> Process:
+    """``p`` with each ``new`` binder, in preorder, renamed to ``pick`` of
+    its channel name."""
 
     def go(q, cenv):
         if isinstance(q, (Idle, ProcVar)):
@@ -494,18 +493,9 @@ def _rename_clashing_news(p: Process, seen: set) -> Process:
         if isinstance(q, Rec):
             return replace(q, body=go(q.body, cenv))
         if isinstance(q, New):
-            name = q.channel
-            if name in seen:
-                k = 0
-                while True:
-                    k += 1
-                    cand = f"{q.channel}_{k}"
-                    if cand not in seen:
-                        name = cand
-                        break
-                seen.add(name)
+            name = pick(q.channel)
+            if name != q.channel:
                 return replace(q, channel=name, body=go(q.body, {**cenv, q.channel: name}))
-            seen.add(name)
             return replace(q, body=go(q.body, cenv))
         raise TypeError(q)
 
@@ -517,8 +507,36 @@ def _rename_clashing_news(p: Process, seen: set) -> Process:
     return go(p, {})
 
 
-def _merge(anns: dict, threads: list) -> CanonState:
-    chan_anns = dict(anns)
+def _rename_clashing_news(p: Process, seen: set) -> Process:
+    """Rename ``new`` binders whose channel name is already taken; needed
+    because unfolding duplicates restriction binders and hoisting requires
+    globally unique channels.  Other binders are left alone."""
+
+    def pick(name):
+        if name in seen:
+            k = 0
+            while True:
+                k += 1
+                cand = f"{name}_{k}"
+                if cand not in seen:
+                    name = cand
+                    break
+        seen.add(name)
+        return name
+
+    return _rename_with(p, pick)
+
+
+def _rename_news(p: Process, names) -> Process:
+    """``p`` with its ``new`` binders, in preorder, renamed to ``names``."""
+    names = iter(names)
+    return _rename_with(p, lambda _channel: next(names))
+
+
+def _flatten(p: Process) -> tuple:
+    """The hoisted channels of ``p`` with their annotations, and its
+    threads, each with its ``sers`` entry."""
+    chan_anns: dict = {}
     flat: list = []
 
     def walk(q):
@@ -533,9 +551,8 @@ def _merge(anns: dict, threads: list) -> CanonState:
         else:
             flat.append(q)
 
-    for t, _e in threads:
-        walk(t)
-    return _make_state(chan_anns, [(t, None) for t in flat])
+    walk(p)
+    return chan_anns, [(t, _entry(t)) for t in flat]
 
 
 def vcount(p: Process, x: str) -> int:
@@ -1312,7 +1329,7 @@ def _residual_matches(s: CanonState, drop: int, want_kind: str, peer: Endpoint, 
     ``reachable`` that stops at the first match; past ``budget`` states it
     admits no new ones but still examines those it holds, so its answers
     are those of ``reachable`` followed by a scan of every state."""
-    threads = [(t, None) for i, t in enumerate(s.threads) if i != drop]
+    threads = [te for i, te in enumerate(zip(s.threads, s.sers)) if i != drop]
     start = sem._make_state(s.anns, threads)
     cls = Output if want_kind == "!" else Input
     seen, queue, truncated = {start.key}, [start], False

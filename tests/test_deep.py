@@ -201,6 +201,17 @@ def test_type_folds_and_checks(deep):
     assert within(WALK_S, obligation, {}, deep) == 0 and within(WALK_S, capability, deep) == 1
 
 
+def test_well_formed_walks_a_chain_of_recursions_once():
+    # each maximal chain of directly nested recs is walked from its head
+    # only, and the scope grows without a copy per binder
+    ended, closed = End(), TypeVar("t0")
+    for i in reversed(range(N)):
+        ended, closed = TRec(INF, f"t{i}", ended), TRec(INF, f"t{i}", closed)
+    assert within(WALK_S, well_formed, ended) == (True, None)
+    ok, violation = within(WALK_S, well_formed, closed)
+    assert not ok and violation.reason == "type is not contractive" and violation.subterm is closed
+
+
 def test_type_rewrites_and_keys(deep):
     assert within(WALK_S, type_key, deep) == deep_type_key()
     assert within(WALK_S, type_eq, deep, deep_type(var="s"))

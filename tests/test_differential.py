@@ -4,9 +4,9 @@ walkers kept in ``reference_walkers.py``.
 Generated programs never reuse a binder name, so on them the two must
 agree byte for byte: reachable key sequences and edge counts,
 approximants, the approximation preorder and the oracle's JSON.  The
-name-clashing programs of ``_clashing`` exercise ``freshen``,
-``_rename_clashing_news`` and the canonical key of an unfreshened
-thread list, where the two must agree as well.  The one-walk measures
+name-clashing programs of ``_clashing`` exercise ``freshen``, the
+unfolding's renaming of ``new`` binders and the canonical key of an
+unfreshened thread list, where the two must agree as well.  The one-walk measures
 must give the E and V of the recursive formulas on finite programs.
 The duality checkers must give the verdicts and mismatch paths of the
 recursive ones wherever those finish.  The folds, printers and keys of
@@ -42,8 +42,9 @@ from sessprog.gen import (
 from sessprog.measure import emeasure, state_measure, vcount
 from sessprog.progress import Truncated, oracle_dynamic
 from sessprog.semantics import (
-    _merge,
-    _rename_clashing_news,
+    _flatten,
+    _make_state,
+    _rename_news,
     approximant,
     approximant_type,
     approx_leq,
@@ -84,6 +85,7 @@ from sessprog.syntax import (
     Var,
     free_names,
     children,
+    fresh_name,
     freshen,
     parse_program,
     pretty_proc,
@@ -96,7 +98,7 @@ from sessprog.typecheck import NotClosed, check_closed
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 _PATCHES = (
-    (semantics, ("_make_state", "_merge", "canonicalize", "_rename_clashing_news",
+    (semantics, ("_make_state", "_flatten", "canonicalize", "_rename_news",
                  "subst_name", "subst_proc", "approximant", "is_user_process")),
     (progress, ("canonicalize", "approximant", "is_user_process")),
 )
@@ -199,6 +201,13 @@ def _clashing(rng, depth, chans=(), vars_=()):
     return Output(subject, payload, _clashing(rng, depth - 1, chans, vars_))
 
 
+def _renamed(p, seen):
+    """``p`` with its ``new`` binders renamed as an unfolding renames them
+    in a state whose identifiers are ``seen``."""
+    taken = dict.fromkeys(seen, 0)
+    return _rename_news(p, [fresh_name(q.channel, taken) for q in subterms(p) if isinstance(q, New)])
+
+
 def test_renamings_and_keys_match_reference_on_clashing_names():
     rng = random.Random(11)
     programs = [_clashing(rng, 7) for _ in range(400)]
@@ -209,10 +218,10 @@ def test_renamings_and_keys_match_reference_on_clashing_names():
         assert freshen(p, reserved={"a", "x"}) == ref.freshen(p, reserved={"a", "x"})
         renamed += q != p
         seen = {"a"}
-        assert _rename_clashing_news(p, set(seen)) == ref._rename_clashing_news(p, set(seen))
+        assert _renamed(p, seen) == ref._rename_clashing_news(p, set(seen))
         idents = ref.all_idents(p)
-        assert _rename_clashing_news(p, idents) == ref._rename_clashing_news(p, idents)
-        ours, theirs = _merge({}, [(p, None)]), ref._merge({}, [(p, None)])
+        assert _renamed(p, idents) == ref._rename_clashing_news(p, set(idents))
+        ours, theirs = _make_state(*_flatten(p)), ref._make_state(*ref._flatten(p))
         assert (ours.key, list(ours.anns.items()), ours.threads) == (
             theirs.key, list(theirs.anns.items()), theirs.threads
         )
@@ -336,10 +345,10 @@ def test_process_folds_printers_and_keys_match_the_recursive_walkers(monkeypatch
             field = "channel" if isinstance(q, New) else "var"
             renamed = replace(q, **{field: getattr(q, field) + "_"})
             assert approx_leq(q, q) and not approx_leq(q, renamed) and not ref.approx_leq(q, renamed)
-    ours = [_merge({}, [(q, None)]).key for q in subs]
+    ours = [_make_state(*_flatten(q)).key for q in subs]
     with monkeypatch.context() as m:
         m.setattr(semantics, "_serialize", ref._entry)
-        theirs = [_merge({}, [(q, None)]).key for q in subs]
+        theirs = [_make_state(*_flatten(q)).key for q in subs]
     assert ours == theirs
     annotated = sum(isinstance(q, New) and q.pos_type is not None for q in subs)
     assert len(subs) > 8000 and annotated > 500

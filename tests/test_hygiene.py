@@ -4,8 +4,9 @@ placement rule applies to it), every module-level function and class
 is used somewhere outside its own body, every defaulted parameter is
 passed by some call, the recursive functions are the ones pinned in
 ``RECURSIVE``, no handler but the command line's last one catches every
-exception, and every function the benchmark's tracer wraps by name
-exists."""
+exception, no module holds a mutable container or counter but those in
+``MODULE_STATE``, and every function the benchmark's tracer wraps by
+name exists."""
 
 import ast
 import importlib
@@ -339,6 +340,60 @@ def test_the_check_catches_broad_handlers(tmp_path):
         "lib.py:15: catches every exception",
         "lib.py:17: catches every exception",
     ]
+
+
+_MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_MUTABLE_CALLS = {"dict", "list", "set", "count"}  # ``count`` of ``itertools``
+
+
+def _mutable(value) -> bool:
+    """Whether an expression builds a mutable container or a counter: a
+    dict, list or set display or comprehension, a call of ``dict``,
+    ``list``, ``set`` or ``itertools.count``, or a tuple holding one."""
+    if isinstance(value, ast.Tuple):
+        return any(map(_mutable, value.elts))
+    if isinstance(value, ast.Call):
+        return getattr(value.func, "id", getattr(value.func, "attr", None)) in _MUTABLE_CALLS
+    return isinstance(value, _MUTABLE_DISPLAYS)
+
+
+def module_state(paths: list) -> set:
+    """``module:name`` for every name that a module, or a class at its
+    top level, binds to a mutable container or counter (``__all__``, the
+    export list, aside).  Such a value outlives every call, so a memo
+    kept there would leak from one exploration into the next."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _own_nodes(tree):
+            scope = node.body if isinstance(node, ast.ClassDef) else [node]
+            for stmt in scope:
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and _mutable(stmt.value):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    found |= {f"{path.stem}:{n.id}" for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return found - {f"{path.stem}:__all__" for path in paths}
+
+
+# The one module-level counter of the library: ``gen`` draws its fresh
+# names from ``_uid`` until they are drawn per call (ROADMAP item 6).
+MODULE_STATE = {"gen:_uid"}
+
+
+def test_no_module_holds_mutable_state():
+    assert module_state(_modules()) == MODULE_STATE
+
+
+def test_the_check_catches_module_state(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "import itertools\nfrom itertools import count\n\n"
+        "__all__ = ['f']\nA = {}\nB = [1]\nC = {1}\nD = dict()\nE = list()\nF = set()\n"
+        "G = itertools.count()\nH = count()\nI = {k: 0 for k in 'ab'}\nJ = (1, [2])\nK, L = [], 0\n"
+        "M: dict = {}\nN = frozenset({1})\nO = (1, 2)\nP = tuple([1])\n\n\n"
+        "class Q:\n    r = []\n    s = ()\n\n    def f(self):\n        t = []\n        return t\n\n\n"
+        "def f():\n    u = {}\n    return u\n"
+    )
+    assert module_state([lib]) == {f"lib:{n}" for n in "ABCDEFGHIJKLMr"}
 
 
 def tracer_targets(path: pathlib.Path) -> tuple:

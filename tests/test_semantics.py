@@ -65,6 +65,12 @@ def test_comm_step():
     assert s2 == canon("b+!1.0")
 
 
+def test_a_receiver_reduces_with_each_payload_sent_to_it():
+    # one receiver, two senders: each communication substitutes its own payload
+    s = canon("a+!1.0 | a+!2.0 | a-?(x).b+!x.0")
+    assert [succ for _label, succ in step(s)] == [canon("a+!2.0 | b+!1.0"), canon("a+!1.0 | b+!2.0")]
+
+
 def test_no_comm_on_same_polarity():
     assert step(canon("a+!1.0 | a+?(x).0")) == []
 
@@ -193,17 +199,18 @@ def test_successors_come_in_label_order():
 
 
 def test_successors_built_from_handed_on_serializations_are_built_from_scratch(monkeypatch):
-    # every state that step builds from its parent's serializations is
-    # the state built from the same threads with none handed on: the
-    # same key, thread objects in the same order and channels; and each
-    # entry a state carries is a fresh serialization of its thread
-    merge, built = semantics._merge, []
+    # every state that exploration builds from its parent's serializations
+    # and the memoized reducts is the state built from the same threads
+    # serialized afresh: the same key, thread objects in the same order and
+    # channels; and each entry a state carries is a fresh serialization of
+    # its thread
+    make, built = semantics._make_state, []
 
-    def recording(anns, threads):
-        built.append((anns, threads, merge(anns, threads)))
+    def recording(chan_anns, threads):
+        built.append((chan_anns, threads, make(chan_anns, threads)))
         return built[-1][2]
 
-    monkeypatch.setattr(semantics, "_merge", recording)
+    monkeypatch.setattr(semantics, "_make_state", recording)
     rng = random.Random(2024)
     programs = [gen_finite(rng) for _ in range(300)]
     rng = random.Random(9)
@@ -212,15 +219,98 @@ def test_successors_built_from_handed_on_serializations_are_built_from_scratch(m
     for p in programs:
         r = reachable(canonicalize(p), max_states=300)
         edges += len(r.edges)
-        for anns, threads, st in built:
-            fresh = merge(anns, [(t, None) for t, _entry in threads])
+        earlier = set()  # the entries of the states built before, by identity
+        for chan_anns, threads, st in built:
+            fresh = make(chan_anns, [(t, semantics._serialize(t)) for t, _entry in threads])
             assert (st.key, list(st.anns.items())) == (fresh.key, list(fresh.anns.items()))
             assert len(st.threads) == len(fresh.threads)
             assert all(a is b for a, b in zip(st.threads, fresh.threads))
             assert list(st.sers) == list(map(semantics._serialize, st.threads))
-            handed_on += sum(entry is not None for _t, entry in threads)
+            handed_on += sum(id(entry) in earlier for _t, entry in threads)
+            earlier.update(map(id, st.sers))
         built.clear()
     assert edges > 3000 and handed_on > 15_000  # successors do keep their parents' threads
+
+
+def _explore_by_step(s, max_states):
+    """``reachable`` with no memo shared between states: a BFS that calls
+    ``step`` on each state.  Its states in BFS order, its edges and
+    whether it stopped at ``max_states``."""
+    states, edges, truncated, frontier = {s.key: s}, [], False, [s]
+    while frontier:
+        nxt = []
+        for st in frontier:
+            for label, succ in step(st):
+                edges.append((st, label, succ))
+                if succ.key not in states:
+                    if len(states) >= max_states:
+                        truncated = True
+                        continue
+                    states[succ.key] = succ
+                    nxt.append(succ)
+        frontier = nxt
+    return list(states.values()), edges, truncated
+
+
+def _differences(s, max_states):
+    """``reachable``, which shares one memo of reducts over its
+    exploration, and where it and ``_explore_by_step`` disagree: in the
+    states (key, channels in order, threads, entries), the edges (source,
+    label, positions, successor key) or the truncation."""
+    r = reachable(s, max_states=max_states)
+    states, edges, truncated = _explore_by_step(s, max_states)
+
+    def state(st):
+        return st.key, list(st.anns.items()), st.threads, st.sers
+
+    def edge(e):
+        st, label, succ = e
+        return st.key, label, label.positions, succ.key
+
+    return r, (
+        [(a, b) for a, b in itertools.zip_longest(map(state, r.states.values()), map(state, states)) if a != b]
+        + [(a, b) for a, b in itertools.zip_longest(map(edge, r.edges), map(edge, edges)) if a != b]
+        + ([("truncated", r.truncated, truncated)] if r.truncated != truncated else [])
+    )
+
+
+def test_memoized_exploration_matches_stepping_each_state_afresh():
+    rng = random.Random(2024)
+    corpus = [(gen_finite(rng), 300) for _ in range(300)]
+    rng = random.Random(9)
+    corpus += [
+        (approximant(gen_well_typed_user(rng, cells=c), i), 300) for c in (1, 2) for i in (1, 2) for _ in range(10)
+    ]
+    rng = random.Random(33)  # the programs of acceptance criterion 3
+    corpus += [(gen_finite(rng, depth=6, max_index=4), 1200) for _ in range(1000)]
+    states = truncated = 0
+    for p, bound in corpus:
+        r, differences = _differences(canonicalize(p), bound)
+        assert differences == [], pretty_proc(p)
+        states, truncated = states + len(r.states), truncated + r.truncated
+    assert states > 9000 and truncated >= 3  # criterion 3 has three programs past 1,200 states
+
+
+def test_a_thread_unfolded_under_other_names_is_unfolded_afresh():
+    # the rec thread is handed on from the first state to the second, but
+    # the binder a_1 leaves with the communication: unfolded in the first
+    # state its new gets a_2, in the second a_1, as stepping afresh gives
+    s = canon("rec[1]X.new a.(a+!1.0 | a-?(x).0) | b+!1.0 | b-?(a_1).0")
+    r = reachable(s)
+    (rec,) = [t for t in s.threads if isinstance(t, syntax.Rec)]
+    after_comm = r.edges[0][2]
+    assert any(t is rec for t in after_comm.threads)
+    names = {}
+    for st in (s, after_comm):
+        ours = [(label, succ) for st_, label, succ in r.edges if st_ is st and label.kind == "rec"]
+        theirs = [(label, succ) for label, succ in step(st) if label.kind == "rec"]
+        assert [(l.positions, t.key, list(t.anns.items()), t.threads) for l, t in ours] == [
+            (l.positions, t.key, list(t.anns.items()), t.threads) for l, t in theirs
+        ]
+        (_label, succ), = ours
+        names[st.key] = list(succ.anns)
+    assert names == {s.key: ["a_2"], after_comm.key: ["a_1"]}
+    assert _differences(s, 100)[1] == []
 
 
 def test_one_step_serializes_no_thread_of_its_parent(monkeypatch):
@@ -250,7 +340,7 @@ def test_merge_writes_a_bound_endpoint_by_its_binder():
     # an unfreshened thread may bind the name of a hoisted channel: its
     # bound endpoints get the binder's token, as they do after freshening
     p = parse_process("new a.(a+!1.0 | a-?(y).new a.(a+!2.0 | a-?(x).0))")
-    key = semantics._merge({}, [(p, None)]).key
+    key = semantics._make_state(*semantics._flatten(p)).key
     assert key == canonicalize(p).key
     assert key.endswith("#0-?(%0).new %1.(%1+!2.0|%1-?(%2).0)")
 
