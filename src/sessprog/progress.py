@@ -31,12 +31,13 @@ from .semantics import (
     Truncated,
     approximant,
     canonicalize,
+    exposed,
     is_user_process,
     reachable,
     state_to_process,
     trace_to,
 )
-from .syntax import Endpoint, Input, Output, Process, Rec, co, name_str, pretty_proc
+from .syntax import INF, Endpoint, Process, Rec, name_str, pretty_proc
 from .typecheck import check_closed, require_closed
 
 
@@ -74,15 +75,6 @@ def verify_static(p: Process) -> ProgressVerdict:
     )
 
 
-def _exposed(threads):
-    """Top-level endpoint prefixes of a thread sequence: (kind, endpoint)."""
-    for t in threads:
-        if isinstance(t, Output) and isinstance(t.subject, Endpoint):
-            yield "!", t.subject
-        elif isinstance(t, Input) and isinstance(t.subject, Endpoint):
-            yield "?", t.subject
-
-
 def _numbering(s: CanonState) -> dict:
     """Each hoisted channel of ``s`` -> its number in the canonical key."""
     return {c: n for n, c in enumerate(s.anns)}
@@ -98,7 +90,7 @@ def _reachable_exposures(r) -> dict:
     exposures, preds = {}, {}
     for key, st in r.states.items():
         number = _numbering(st)
-        exposures[key] = {(kind, number[ep.channel], ep.polarity) for kind, ep in _exposed(st.threads)}
+        exposures[key] = {(kind, number[ep.channel], ep.polarity) for _, kind, ep in exposed(st.threads)}
     for st, _label, succ in r.edges:
         number = _numbering(st)
         across = {n: number[c] for n, c in enumerate(succ.anns) if c in number}
@@ -134,9 +126,8 @@ def oracle_dynamic(p: Process, iota: int = 2, max_states: int = 100_000) -> Prog
     explored = len(r.states)
     exposures = _reachable_exposures(r)
     for st in r.states.values():  # insertion order = BFS order
-        for kind, ep in _exposed(st.threads):
-            want = "?" if kind == "!" else "!"
-            if not _residual_matches(exposures, st, want, Endpoint(ep.channel, co(ep.polarity))):
+        for _, kind, ep in exposed(st.threads):
+            if not _residual_matches(exposures, st, "?" if kind == "!" else "!", ep.peer):
                 return ProgressVerdict(
                     status="violated-dynamic",
                     evidence={
@@ -148,7 +139,7 @@ def oracle_dynamic(p: Process, iota: int = 2, max_states: int = 100_000) -> Prog
                 )
     return ProgressVerdict(
         status="holds-dynamic-at-bound",
-        evidence={"approxIndex": iota},
+        evidence={"approxIndex": "inf" if iota == INF else iota},  # JSON has no infinity
         states_explored=explored,
     )
 

@@ -19,6 +19,10 @@ one exploration memoizes, by thread identity, what a thread turns into
 unfolding per choice of fresh names for its ``new`` binders.  A
 successor is its parent's ``(thread, entry)`` pairs with those pieces
 spliced in, and its key is the one a from-scratch build gives.
+
+One reader gives the prefixes a state exposes (``exposed``) to ``step``,
+the redex test ``is_normal_form`` and the progress oracle; the first
+edge into a state is its BFS tree edge, which ``trace_to`` follows.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .syntax import (
     TRec,
     Var,
     children,
-    co,
     fresh_name,
     freshen,
     map_values,
@@ -348,26 +351,33 @@ def _successor(s: CanonState, pairs: list, reduced: list) -> CanonState:
     return _make_state(chan_anns, threads)
 
 
-def _step(s: CanonState, memo: dict) -> list[tuple[RedexLabel, CanonState]]:
-    """``step``, taking the reducts of ``s``'s threads from ``memo``."""
-    out = []
-    pairs = list(zip(s.threads, s.sers))
-    for i, t in enumerate(s.threads):
-        if not isinstance(t, Output) or not isinstance(t.subject, Endpoint):
-            continue
-        a = t.subject
-        for j, u in enumerate(s.threads):
-            if j == i or not isinstance(u, Input) or not isinstance(u.subject, Endpoint):
-                continue
-            if u.subject.channel != a.channel or u.subject.polarity != co(a.polarity):
-                continue
-            reduced = sorted([(i, _reduct(memo, t, None)), (j, _reduct(memo, u, t.payload))])
-            label = RedexLabel("comm", (i, j), channel=a.channel, payload=t.payload)
-            out.append((label, _successor(s, pairs, reduced)))
+def exposed(threads) -> list:
+    """The top-level endpoint prefixes of a thread sequence, in order, as
+    ``(position, kind, endpoint)`` with kind ``"!"`` or ``"?"``."""
+    return [(i, "!" if type(t) is Output else "?", t.subject) for i, t in enumerate(threads)
+            if (type(t) is Output or type(t) is Input) and type(t.subject) is Endpoint]
 
+
+def step(s: CanonState, memo: dict | None = None) -> list[tuple[RedexLabel, CanonState]]:
+    """All one-step reductions of a canonical state, in ``(kind,
+    positions)`` order: communications between complementary prefixes on
+    peer endpoints, then unfoldings of recursions with nonzero index
+    (decremented unless infinite); reducts come from ``memo``."""
+    memo = {} if memo is None else memo
+    out, pairs = [], list(zip(s.threads, s.sers))
+    prefixes = exposed(s.threads)
+    for i, kind, ep in prefixes:  # each output with the inputs on its peer endpoint
+        if kind != "!":
+            continue
+        t = s.threads[i]
+        for j, kind2, peer in prefixes:
+            if kind2 == "?" and peer.channel == ep.channel and peer.polarity != ep.polarity:
+                reduced = sorted([(i, _reduct(memo, t, None)), (j, _reduct(memo, s.threads[j], t.payload))])
+                label = RedexLabel("comm", (i, j), channel=ep.channel, payload=t.payload)
+                out.append((label, _successor(s, pairs, reduced)))
     used = None  # every identifier of the state, built at the first unfolding
     for i, t in enumerate(s.threads):
-        if isinstance(t, Rec) and t.index > 0:
+        if type(t) is Rec and t.index > 0:
             if used is None:
                 used = dict.fromkeys(chain(s.anns, *[entry[3] for entry in s.sers]), 0)
             taken = used.copy()
@@ -376,24 +386,20 @@ def _step(s: CanonState, memo: dict) -> list[tuple[RedexLabel, CanonState]]:
     return out
 
 
-def step(s: CanonState) -> list[tuple[RedexLabel, CanonState]]:
-    """All one-step reductions of a canonical state, in ``(kind,
-    positions)`` order: communications between complementary prefixes on
-    peer endpoints, then unfoldings of recursions with nonzero index
-    (decremented unless infinite)."""
-    return _step(s, {})
-
-
 def is_normal_form(s: CanonState) -> bool:
-    return not step(s)
+    """``step``'s redex test, which builds no successor: no recursion with
+    nonzero index, and no output whose peer endpoint offers an input."""
+    prefixes = exposed(s.threads)
+    inputs = {ep for _, kind, ep in prefixes if kind == "?"}
+    return not any(type(t) is Rec and t.index > 0 for t in s.threads) and not any(
+        kind == "!" and ep.peer in inputs for _, kind, ep in prefixes)
 
 
 @dataclass
 class Reachable:
     states: dict  # key -> CanonState
     truncated: bool
-    edges: list  # (state, label, successor)
-    parents: dict  # key -> (parent_key, label) for trace reconstruction
+    edges: list  # (state, label, successor); the first edge into a key is its BFS tree edge
 
 
 def reachable(s: CanonState, max_states: int = 100_000) -> Reachable:
@@ -401,34 +407,24 @@ def reachable(s: CanonState, max_states: int = 100_000) -> Reachable:
     equality.  One memo of reducts serves the whole exploration."""
     if max_states <= 0:
         raise ValueError("max_states must be positive")
-    states = {s.key: s}
-    parents: dict = {s.key: None}
-    frontier = [s]
-    edges = []
-    truncated = False
-    memo: dict = {}
-    while frontier:
-        nxt = []
-        for st in frontier:
-            for label, succ in _step(st, memo):
-                edges.append((st, label, succ))
-                if succ.key not in states:
-                    if len(states) >= max_states:
-                        truncated = True
-                        continue
+    states, queue, edges, truncated, memo = {s.key: s}, [s], [], False, {}
+    for st in queue:  # the states in the order they are kept: breadth first
+        for label, succ in step(st, memo):
+            edges.append((st, label, succ))
+            if succ.key not in states:
+                if len(states) >= max_states:
+                    truncated = True
+                else:
                     states[succ.key] = succ
-                    parents[succ.key] = (st.key, label)
-                    nxt.append(succ)
-        frontier = nxt
-    return Reachable(states=states, truncated=truncated, edges=edges, parents=parents)
+                    queue.append(succ)
+    return Reachable(states=states, truncated=truncated, edges=edges)
 
 
 def trace_to(r: Reachable, key: str) -> list:
     """Labels along the BFS tree path from the initial state to ``key``."""
-    labels = []
-    while r.parents[key] is not None:
-        parent, label = r.parents[key]
+    first = {succ.key: (st.key, label) for st, label, succ in reversed(r.edges)}  # the first edge wins
+    start, labels = next(iter(r.states)), []
+    while key != start:
+        key, label = first[key]
         labels.append(label)
-        key = parent
-    labels.reverse()
-    return labels
+    return labels[::-1]

@@ -16,7 +16,7 @@ from .syntax import (
     TOut,
     TRec,
     TypeVar,
-    free_names,
+    free_children,
     pretty_type,
     subst_type_var,
 )
@@ -50,6 +50,7 @@ class Violation:
 def well_formed(t: SessionType) -> tuple[bool, Violation | None]:
     """Check contractivity (no rec t1..rec tn.t1 chains), stratification
     (payload types closed) and that free type variables are declared."""
+    prefixes: dict = {}  # id of each prefix: what is free in (payload, continuation), folded at need
     bound: dict = {}  # type variable -> how many enclosing recs bind it
     todo: list = [t]  # subterms to check, and (strings) variables going out of scope
     while todo:
@@ -61,8 +62,10 @@ def well_formed(t: SessionType) -> tuple[bool, Violation | None]:
                 return False, Violation("unbound type variable", u)
         elif isinstance(u, (TIn, TOut)):
             # a closed payload binds every variable in it, whatever is in scope
-            if free_names(u.payload):
-                return False, Violation("payload type is not closed", u.payload)
+            if type(u.payload) is not End and type(u.payload) is not Base:  # those two need no fold
+                prefixes = prefixes or free_children(t, (TIn, TOut))
+                if prefixes[id(u)][0]:
+                    return False, Violation("payload type is not closed", u.payload)
             todo += (u.cont, u.payload)
         elif isinstance(u, TRec):  # the head of a maximal chain of recs, walked once
             head, chain = u, []

@@ -335,6 +335,20 @@ def free_names(x) -> frozenset:
     return fold(_free_at, x)
 
 
+def free_children(x, kinds: tuple) -> dict:
+    """``id`` of each subterm of ``x`` whose type is in ``kinds`` -> what
+    is free in each of its children, left to right; from one fold."""
+    found: dict = {}
+
+    def at(y, *vals):
+        if type(y) in kinds:
+            found[id(y)] = vals
+        return _free_at(y, *vals)
+
+    fold(at, x)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Substitutions
 

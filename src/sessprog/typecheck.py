@@ -45,8 +45,7 @@ from .syntax import (
     TRec,
     TypeVar,
     Var,
-    _free_at,
-    fold,
+    free_children,
     free_names,
     freshen,
     name_str,
@@ -254,14 +253,7 @@ def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> ClosedVerd
     stack: each rule pushes its premises, the right side of a ``|``
     before its left.  What is free in the two sides of every ``|``, which
     ``split_env`` reads, comes from one fold over ``p``, made first."""
-    sides: dict = {}  # id of each | in p: what is free in its two sides
-
-    def free_at(q, *vals):
-        if type(q) is Par:
-            sides[id(q)] = vals
-        return _free_at(q, *vals)
-
-    fold(free_at, p)
+    sides = free_children(p, (Par,))  # id of each | in p: what is free in its two sides
     out: list = []
     todo = [(sigma, gamma, dict(delta), p)]
     try:

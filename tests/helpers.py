@@ -103,11 +103,14 @@ def subject_reduction_holds(p: Process, iota=INF, max_states: int = 20_000):
     if d0 is None:
         return False, "initial state does not type"
     r = reachable(s0, max_states)
+    tree = {}  # key -> (parent key, label): the first edge into the key
+    for st, label, succ in r.edges:
+        tree.setdefault(succ.key, (st.key, label))
     delta_for = {s0.key: d0}
     for key, st in r.states.items():
         if key == s0.key:
             continue
-        parent_key, label = r.parents[key]
+        parent_key, label = tree[key]
         prev = delta_for[parent_key]
         d = find_delta(prev, st, iota, 2 * len(prev) + 3)
         if d is None:

@@ -38,6 +38,12 @@ approximant and then runs, for each exposed prefix, a fresh search
 (``_residual_matches``) over every thread of the residual, which stops
 at its first match.
 
+And ``well_formed_by_payload``, the preorder well-formedness check as it
+was before one fold gave what is free in every payload, and
+``comms_by_scan``, the communications of a state as ``step`` found them
+before one reader gave the exposed prefixes: every sender against every
+other thread.
+
 And the well-typed cells of ``sessprog.gen`` as they were before they
 were written in the concrete syntax: ``CELLS`` holds one hand-built
 constructor per cell, in the order of ``gen._CELLS``, each drawing its
@@ -861,6 +867,54 @@ def well_formed(t: SessionType, allow_free=()) -> tuple[bool, Violation | None]:
 
     v = go(t, frozenset())
     return (v is None, v)
+
+
+def well_formed_by_payload(t: SessionType) -> tuple[bool, Violation | None]:
+    """The preorder ``well_formed`` as it was before one fold gave what is
+    free in every payload: each prefix asks ``free_type_vars`` of its
+    payload, so payloads nested n deep cost O(n^2)."""
+    bound: dict = {}  # type variable -> how many enclosing recs bind it
+    todo: list = [t]  # subterms to check, and (strings) variables going out of scope
+    while todo:
+        u = todo.pop()
+        if type(u) is str:
+            bound[u] -= 1
+        elif isinstance(u, TypeVar):
+            if not bound.get(u.ident):
+                return False, Violation("unbound type variable", u)
+        elif isinstance(u, (TIn, TOut)):
+            if free_type_vars(u.payload):
+                return False, Violation("payload type is not closed", u.payload)
+            todo += (u.cont, u.payload)
+        elif isinstance(u, TRec):
+            head, chain = u, []
+            while isinstance(u, TRec):
+                chain.append(u.var)
+                u = u.body
+            if isinstance(u, TypeVar) and u.ident in chain:
+                return False, Violation("type is not contractive", head)
+            for x in chain:
+                bound[x] = bound.get(x, 0) + 1
+            todo += (*chain, u)
+        elif not isinstance(u, (End, Base)):
+            raise TypeError(u)
+    return True, None
+
+
+def comms_by_scan(threads) -> list:
+    """``(i, j)`` for thread i sending to thread j on its peer endpoint,
+    senders ascending, then receivers: each sender against every thread."""
+    out = []
+    for i, t in enumerate(threads):
+        if not isinstance(t, Output) or not isinstance(t.subject, Endpoint):
+            continue
+        a = t.subject
+        for j, u in enumerate(threads):
+            if j == i or not isinstance(u, Input) or not isinstance(u.subject, Endpoint):
+                continue
+            if u.subject.channel == a.channel and u.subject.polarity == co(a.polarity):
+                out.append((i, j))
+    return out
 
 
 def obligation(sigma: dict, t: SessionType):

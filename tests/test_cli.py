@@ -64,13 +64,13 @@ def test_explore_truncation_exit(capsys):
 
 
 def test_explore_steps_each_state_once(monkeypatch, capsys):
-    step, calls = semantics._step, []
+    step, calls = semantics.step, []
 
-    def counted(s, memo):
+    def counted(s, memo=None):
         calls.append(s.key)
         return step(s, memo)
 
-    monkeypatch.setattr(semantics, "_step", counted)
+    monkeypatch.setattr(semantics, "step", counted)
     for limit, exit_code in (("100000", 0), ("5", 3)):
         calls.clear()
         code, out, _ = run(

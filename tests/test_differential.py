@@ -436,6 +436,21 @@ def _binders(t) -> set:
     return {u.var for u in subterms(t) if isinstance(u, TRec)}
 
 
+def test_well_formed_matches_its_per_payload_walk(monkeypatch):
+    # one fold records what is free in every payload; the walk and its
+    # first violation are those of asking each payload afresh
+    rng = random.Random(29)
+    reasons = set()
+    for t in _type_corpus(monkeypatch, rng):
+        ok, v = well_formed(t)
+        ok_ref, v_ref = ref.well_formed_by_payload(t)
+        assert ok == ok_ref and (v is None) == (v_ref is None)
+        if v is not None:
+            assert v.reason == v_ref.reason and v.subterm is v_ref.subterm
+            reasons.add(v.reason)
+    assert reasons == {"unbound type variable", "payload type is not closed", "type is not contractive"}
+
+
 def test_type_substitution_matches_the_recursive_one(monkeypatch):
     """Substitutions where binders capture: replacements drawn from the
     corpus, or of any shape over the same three names as the type they

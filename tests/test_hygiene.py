@@ -11,8 +11,11 @@ name exists."""
 import ast
 import importlib
 import inspect
+import json
 import math
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -415,3 +418,30 @@ def test_every_traced_function_exists():
         if not inspect.isfunction(getattr(importlib.import_module(f"sessprog.{module}"), attr, None))
     ]
     assert missing == []
+
+
+TRACE_EXPLORATION = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from sessprog import semantics, syntax
+import tracer
+trace = tracer.Tracer(keep_spans=0)
+trace.install()
+p = syntax.parse_program(open(sys.argv[3]).read()).process
+r = semantics.reachable(semantics.canonicalize(semantics.approximant(p, 3)))
+print(json.dumps([len(r.states), trace.snapshot()["counts"].get("semantics.step.calls", 0)]))
+"""
+
+
+def test_the_traced_step_span_sees_every_explored_state():
+    # the benchmark's per-layer metric semantics.step.calls counts the
+    # states an exploration steps; it is taken in a fresh interpreter,
+    # since the tracer replaces library functions for good
+    out = subprocess.run(
+        [sys.executable, "-c", TRACE_EXPLORATION, str(REPO / "src"), str(REPO / "bench"),
+         str(REPO / "corpus" / "forwarder.ssp")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    states, step_calls = json.loads(out.stdout)
+    assert states > 10 and step_calls == states

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from sessprog.progress import (
     verify_static,
 )
 from sessprog.semantics import approximant, canonicalize, is_normal_form, reachable
-from sessprog.syntax import Par, parse_process
+from sessprog.syntax import INF, Par, parse_process
 from sessprog.typecheck import NotClosed
 
 
@@ -150,6 +151,14 @@ def test_verdict_json_shape():
     v = oracle_dynamic(corpus_process("forwarder.ssp"), 1)
     j = v.to_json()
     assert set(j) == {"status", "evidence", "statesExplored"}
+
+
+def test_verdict_at_inf_is_valid_json():
+    # JSON has no infinity: the index prints as "inf", a finite one as a number
+    p = corpus_process("forwarder.ssp")
+    at_inf = json.loads(json.dumps(oracle_dynamic(p, INF).to_json(), allow_nan=False))
+    assert at_inf["status"] == "holds-dynamic-at-bound" and at_inf["evidence"] == {"approxIndex": "inf"}
+    assert oracle_dynamic(p, 2).to_json()["evidence"] == {"approxIndex": 2}
 
 
 @settings(max_examples=20, deadline=None)

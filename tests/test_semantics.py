@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_walkers as ref
 from sessprog import semantics, syntax
 from sessprog.gen import gen_finite, gen_user, gen_well_typed_user
-from sessprog.progress import oracle_dynamic
+from sessprog.progress import oracle_dynamic, verify_static
 from sessprog.semantics import (
     NotUserProcess,
     approximant,
@@ -234,9 +235,11 @@ def test_successors_built_from_handed_on_serializations_are_built_from_scratch(m
 
 def _explore_by_step(s, max_states):
     """``reachable`` with no memo shared between states: a BFS that calls
-    ``step`` on each state.  Its states in BFS order, its edges and
-    whether it stopped at ``max_states``."""
+    ``step`` on each state.  Its states in BFS order, its edges, whether
+    it stopped at ``max_states``, and its tree: key -> (parent key,
+    label) of the edge each state was kept by, None for ``s``."""
     states, edges, truncated, frontier = {s.key: s}, [], False, [s]
+    parents = {s.key: None}
     while frontier:
         nxt = []
         for st in frontier:
@@ -247,9 +250,10 @@ def _explore_by_step(s, max_states):
                         truncated = True
                         continue
                     states[succ.key] = succ
+                    parents[succ.key] = (st.key, label)
                     nxt.append(succ)
         frontier = nxt
-    return list(states.values()), edges, truncated
+    return list(states.values()), edges, truncated, parents
 
 
 def _differences(s, max_states):
@@ -258,7 +262,7 @@ def _differences(s, max_states):
     states (key, channels in order, threads, entries), the edges (source,
     label, positions, successor key) or the truncation."""
     r = reachable(s, max_states=max_states)
-    states, edges, truncated = _explore_by_step(s, max_states)
+    states, edges, truncated, _parents = _explore_by_step(s, max_states)
 
     def state(st):
         return st.key, list(st.anns.items()), st.threads, st.sers
@@ -274,13 +278,20 @@ def _differences(s, max_states):
     )
 
 
-def test_memoized_exploration_matches_stepping_each_state_afresh():
+def _seeded_corpus():
+    """300 random finite programs and 40 well-typed approximants, each
+    with the state bound 300."""
     rng = random.Random(2024)
     corpus = [(gen_finite(rng), 300) for _ in range(300)]
     rng = random.Random(9)
     corpus += [
         (approximant(gen_well_typed_user(rng, cells=c), i), 300) for c in (1, 2) for i in (1, 2) for _ in range(10)
     ]
+    return corpus
+
+
+def test_memoized_exploration_matches_stepping_each_state_afresh():
+    corpus = _seeded_corpus()
     rng = random.Random(33)  # the programs of acceptance criterion 3
     corpus += [(gen_finite(rng, depth=6, max_index=4), 1200) for _ in range(1000)]
     states = truncated = 0
@@ -289,6 +300,56 @@ def test_memoized_exploration_matches_stepping_each_state_afresh():
         assert differences == [], pretty_proc(p)
         states, truncated = states + len(r.states), truncated + r.truncated
     assert states > 9000 and truncated >= 3  # criterion 3 has three programs past 1,200 states
+
+
+def test_trace_follows_the_tree_of_stepping_each_state_afresh():
+    # the first edge into a state is the edge the reference BFS kept it
+    # by; user programs at index inf lead back into their initial state
+    rng = random.Random(41)
+    corpus = _seeded_corpus() + [(gen_well_typed_user(rng, cells=c), 300) for c in (1, 2) for _ in range(10)]
+    cycles = 0
+    for p, bound in corpus:
+        s = canonicalize(p)
+        r = reachable(s, max_states=bound)
+        parents = _explore_by_step(s, bound)[3]
+        for key in r.states:
+            labels, k = [], key
+            while parents[k] is not None:
+                k, label = parents[k]
+                labels.append(label)
+            assert trace_to(r, key) == labels[::-1], pretty_proc(p)
+        cycles += any(succ.key == s.key for _st, _label, succ in r.edges)
+    assert cycles >= 10
+
+
+def test_a_normal_form_is_a_state_without_successors(monkeypatch):
+    # over seeded explorations and those of acceptance criterion 5, the
+    # redex test agrees with building the successors, and builds none;
+    # the communications step pairs from the exposed prefixes are those
+    # of scanning every sender against every thread
+    rng = random.Random(55)  # criterion 5's corpus and its verified approximants
+    corpus = [gen_well_typed_user(rng, cells=1) for _ in range(40)]
+    corpus += [gen_well_typed_user(rng, cells=2) for _ in range(10)]
+    corpus += [gen_user(rng, depth=5) for _ in range(50)]
+    verified = [p for p in corpus if verify_static(p).status == "verified-static"]
+    explorations = [(approximant(p, i), 50_000) for p in verified for i in (1, 2)]
+    states = [
+        st_ for p, bound in _seeded_corpus() + explorations for st_ in reachable(canonicalize(p), bound).states.values()
+    ]
+    make, made = semantics._make_state, []
+
+    def counted(chan_anns, threads):
+        made.append(None)
+        return make(chan_anns, threads)
+
+    monkeypatch.setattr(semantics, "_make_state", counted)
+    normal = [is_normal_form(st_) for st_ in states]
+    assert made == []
+    steps = [step(st_) for st_ in states]
+    assert normal == [not succs for succs in steps]
+    comms = [[label.positions for label, _succ in succs if label.kind == "comm"] for succs in steps]
+    assert comms == [ref.comms_by_scan(st_.threads) for st_ in states]
+    assert len(states) > 3000 and 100 < sum(normal) < len(states)
 
 
 def test_a_thread_unfolded_under_other_names_is_unfolded_afresh():

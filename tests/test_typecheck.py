@@ -340,7 +340,6 @@ def test_check_folds_its_process_once(monkeypatch):
         return fold(f, x)
 
     monkeypatch.setattr(syntax, "fold", counting)
-    monkeypatch.setattr(typecheck, "fold", counting)
     assert check({}, {}, {}, p, INF).ok
     assert len(folded) == 1 and folded[0] is p
 
