@@ -92,8 +92,7 @@ def _load(path: str) -> Process:
 
 def _cmd_check(args) -> int:
     p = _load(args.file)
-    iota = args.judgment_index if args.judgment_index is not None else INF
-    v = check_closed(p, iota)
+    v = check_closed(p, args.judgment_index)
     if v.ok:
         values = v.assignment.values if v.assignment else {}
         _emit(
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = command("check", _cmd_check, "type-check a closed program")
-    sp.add_argument("--judgment-index", type=_index_arg, default=None)
+    sp.add_argument("--judgment-index", type=_index_arg, default=INF)
 
     sp = command("run", _cmd_run, "one seeded pseudo-random trace")
     sp.add_argument("--seed", type=int, default=0)

@@ -244,12 +244,13 @@ def is_user_process(p: Process) -> bool:
 
 def approximant(p: Process, iota) -> Process:
     """Replace every infinite recursion index (in processes and in type
-    annotations) with ``iota``; requires a user process."""
-    if not is_user_process(p):
-        raise NotUserProcess("finite recursion index in a user process")
+    annotations) with ``iota``; requires a user process, and raises
+    ``NotUserProcess`` at its first ``rec`` with a finite index."""
 
     def go(q, env):
         if isinstance(q, Rec):
+            if q.index != INF:
+                raise NotUserProcess("finite recursion index in a user process")
             q = replace(q, index=iota)
         elif isinstance(q, New):
             pos_t, neg_t = approximant_type(q.pos_type, iota), approximant_type(q.neg_type, iota)
@@ -421,9 +422,17 @@ def reachable(s: CanonState, max_states: int = 100_000) -> Reachable:
 
 
 def trace_to(r: Reachable, key: str) -> list:
-    """Labels along the BFS tree path from the initial state to ``key``."""
-    first = {succ.key: (st.key, label) for st, label, succ in reversed(r.edges)}  # the first edge wins
-    start, labels = next(iter(r.states)), []
+    """Labels along the BFS tree path from the initial state to ``key``.
+    Every state on that path is reached before ``key``, so the edges are
+    read only up to the first edge into ``key``."""
+    start, first, labels = next(iter(r.states)), {}, []
+    if key == start:
+        return labels
+    for st, label, succ in r.edges:
+        if succ.key not in first:  # the first edge into a key is its tree edge
+            first[succ.key] = (st.key, label)
+            if succ.key == key:
+                break
     while key != start:
         key, label = first[key]
         labels.append(label)

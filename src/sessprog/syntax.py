@@ -590,13 +590,14 @@ _TOKEN_RE = re.compile(
   | (?P<comment>\#[^\n]*)
   | (?P<num>\d+)
   | (?P<id>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<sym>[?!.|()\[\],:~+\-=])
+  | (?P<punct>[?!.|()\[\],:~+\-=])
   | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 _KEYWORDS = frozenset({"new", "rec", "inf", "end", "int", "type"})
+_TYPE_OPENERS = frozenset({"end", "int", "rec", "id", "(", "?", "!"})
 
 
 def _tokenize(text: str):
@@ -610,8 +611,8 @@ def _tokenize(text: str):
             line += lexeme.count("\n")
             start = m.start() + lexeme.rfind("\n") + 1
         elif kind not in ("ws", "comment"):
-            if kind == "id" and lexeme in _KEYWORDS:
-                kind = lexeme
+            if kind == "punct" or kind == "id" and lexeme in _KEYWORDS:
+                kind = lexeme  # a symbol or keyword is its own terminal
             tokens.append((kind, lexeme, line, m.start() - start + 1))
     tokens.append(("eof", "", line, len(text) - start + 1))
     return tokens
@@ -634,17 +635,16 @@ class _Parser:
             self.i += 1
         return tok
 
-    def accept(self, kind, value=None):
-        tok = self.peek()
-        if tok[0] == kind and (value is None or tok[1] == value):
+    def accept(self, kind):
+        if self.tokens[self.i][0] == kind:
             return self.next()
         return None
 
-    def expect(self, kind, value=None, what=None):
-        tok = self.accept(kind, value)
+    def expect(self, kind, what=None):
+        tok = self.accept(kind)
         if tok is None:
             got = self.peek()
-            want = what or value or kind
+            want = what or kind
             raise ParseError(
                 f"expected {want!r}, found {got[1] or 'end of input'!r}",
                 got[2], got[3], expected=(want,),
@@ -658,19 +658,16 @@ class _Parser:
     # -- programs
 
     def parse_program(self) -> Program:
-        while self.peek()[0] == "type":
-            self.next()
+        while self.accept("type"):
             name_tok = self.expect("id", what="alias name")
             name = name_tok[1]
             if not name[0].isupper():
                 raise ParseError("type alias names start uppercase", name_tok[2], name_tok[3])
             if name in self.aliases:
                 raise ParseError(f"duplicate type alias {name!r}", name_tok[2], name_tok[3])
-            self.expect("sym", "=")
+            self.expect("=")
             self.aliases[name] = self.parse_type()
-        proc = self.parse_proc()
-        self.expect("eof", what="end of input")
-        return Program(proc, self.aliases)
+        return Program(self.parse_proc(), self.aliases)
 
     # -- processes
 
@@ -693,7 +690,7 @@ class _Parser:
                 if stack and stack[-1][0] not in (Par, None):
                     cls, fields, pos = stack.pop()
                     p = cls(*fields, p, pos=pos)
-                elif self.accept("sym", "|"):
+                elif self.accept("|"):
                     stack.append((Par, (p,), None))
                     break
                 else:  # p ends a process: close the '|'s it ends, then its '('
@@ -703,21 +700,21 @@ class _Parser:
                     if not stack:
                         return p
                     stack.pop()
-                    self.expect("sym", ")")
+                    self.expect(")")
 
     def _opening(self, tok) -> tuple:
         """Read the head of a prefix, up to and with its '.', as the class
         and fields of the node it builds; or an open ``(``, as None."""
-        if tok[0] == "sym" and tok[1] == "(":
+        if tok[0] == "(":
             self.next()
             return None, ()
         if tok[0] == "new":
             self.next()
             chan = self._lower_id("channel")
             pos_type = neg_type = None
-            if self.accept("sym", ":"):
+            if self.accept(":"):
                 pos_type = self.parse_type()
-                if self.accept("sym", "~"):
+                if self.accept("~"):
                     neg_type = self.parse_type()
             head = New, (chan, pos_type, neg_type)
         elif tok[0] == "rec":
@@ -726,12 +723,12 @@ class _Parser:
             head = Rec, (idx, self._upper_id("process variable"))
         elif tok[0] == "id":
             subject = self._name()
-            if self.accept("sym", "?"):
-                self.expect("sym", "(")
+            if self.accept("?"):
+                self.expect("(")
                 binder = self._lower_id("variable")
-                self.expect("sym", ")")
+                self.expect(")")
                 head = Input, (subject, binder)
-            elif self.accept("sym", "!"):
+            elif self.accept("!"):
                 head = Output, (subject, self._value())
             else:
                 self.error("expected '?' or '!' after subject", expected=("?", "!"))
@@ -739,35 +736,24 @@ class _Parser:
             self.error("only '0' denotes the idle process", expected=("0",))
         else:
             self.error("expected a process", expected=("process",))
-        self.expect("sym", ".")
+        self.expect(".")
         return head
 
     def _name(self):
         tok = self.expect("id", what="name")
         if not tok[1][0].islower():
             raise ParseError("names are lowercase identifiers", tok[2], tok[3])
-        sign = self.peek()
-        if sign[0] == "sym" and sign[1] in "+-":
-            self.next()
-            return Endpoint(tok[1], sign[1])
-        return Var(tok[1])
+        sign = self.accept("+") or self.accept("-")
+        return Endpoint(tok[1], sign[0]) if sign else Var(tok[1])
 
     def _value(self):
-        tok = self.peek()
-        if tok[0] == "num":
-            self.next()
-            return int(tok[1])
-        return self._name()
+        tok = self.accept("num")
+        return int(tok[1]) if tok else self._name()
 
     def _index(self):
-        self.expect("sym", "[")
-        tok = self.peek()
-        if tok[0] == "inf":
-            self.next()
-            idx = INF
-        else:
-            idx = int(self.expect("num", what="index")[1])
-        self.expect("sym", "]")
+        self.expect("[")
+        idx = INF if self.accept("inf") else int(self.expect("num", what="index")[1])
+        self.expect("]")
         return idx
 
     def _lower_id(self, what):
@@ -792,24 +778,24 @@ class _Parser:
         stack: list = []  # (class, *fields so far); (None,) for a '('
         while True:
             tok = self.tokens[self.i]
-            if not (tok[0] in ("end", "int", "rec", "id") or tok[0] == "sym" and tok[1] in "(?!"):
+            if tok[0] not in _TYPE_OPENERS:
                 self.error("expected a type", expected=("type",))
             self.next()
-            if tok[0] == "sym" and tok[1] == "(":
+            if tok[0] == "(":
                 stack.append((None,))
                 continue
-            if tok[0] == "sym" and tok[1] in "?!":
-                self.expect("sym", "[")
+            if tok[0] == "?" or tok[0] == "!":
+                self.expect("[")
                 obl = self._priority()
-                self.expect("sym", ",")
+                self.expect(",")
                 cap = self._priority()
-                self.expect("sym", "]")
-                stack.append((TIn if tok[1] == "?" else TOut, obl, cap))
+                self.expect("]")
+                stack.append((TIn if tok[0] == "?" else TOut, obl, cap))
                 continue
             if tok[0] == "rec":
                 idx = self._index()
                 var = self._lower_id("type variable")
-                self.expect("sym", ".")
+                self.expect(".")
                 stack.append((TRec, idx, var))
                 continue
             if tok[0] == "end":
@@ -825,44 +811,43 @@ class _Parser:
             while stack:  # t is complete: hand it to what waits for it
                 cls, *fields = stack.pop()
                 if cls is None:
-                    self.expect("sym", ")")
+                    self.expect(")")
                 elif cls is TRec or len(fields) == 3:
                     t = cls(*fields, t)
                 else:  # the payload: the continuation follows the '.'
                     stack.append((cls, *fields, t))
-                    self.expect("sym", ".")
+                    self.expect(".")
                     break
             else:
                 return t
 
     def _priority(self):
-        tok = self.peek()
-        if tok[0] == "num":
-            self.next()
-            return int(tok[1])
-        return self._lower_id("priority variable")
+        tok = self.accept("num")
+        return int(tok[1]) if tok else self._lower_id("priority variable")
 
 
 def _pos(tok):
     return (tok[2], tok[3])
 
 
+def _parse(text: str, rule):
+    """``rule`` of a parser on the whole of ``text``."""
+    parser = _Parser(text)
+    result = rule(parser)
+    parser.expect("eof", what="end of input")
+    return result
+
+
 def parse_program(text: str) -> Program:
     """Parse a program: optional ``type NAME = T`` alias lines, then a
     process.  Aliases are spliced at parse time, so the returned AST is
     alias-free."""
-    return _Parser(text).parse_program()
+    return _parse(text, _Parser.parse_program)
 
 
 def parse_process(text: str) -> Process:
-    parser = _Parser(text)
-    proc = parser.parse_proc()
-    parser.expect("eof", what="end of input")
-    return proc
+    return _parse(text, _Parser.parse_proc)
 
 
 def parse_type(text: str) -> SessionType:
-    parser = _Parser(text)
-    t = parser.parse_type()
-    parser.expect("eof", what="end of input")
-    return t
+    return _parse(text, _Parser.parse_type)

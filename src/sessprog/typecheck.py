@@ -37,7 +37,6 @@ from .syntax import (
     Par,
     Process,
     ProcVar,
-    Program,
     Rec,
     SessionType,
     TIn,
@@ -464,8 +463,7 @@ def require_closed(p: Process) -> None:
         raise NotClosed(f"free names in a closed program: {names}")
 
 
-def check_closed(program: Program | Process, iota) -> ClosedVerdict:
-    """Check a closed program; an open one raises ``NotClosed``."""
-    p = program.process if isinstance(program, Program) else program
+def check_closed(p: Process, iota) -> ClosedVerdict:
+    """Check a closed process; an open one raises ``NotClosed``."""
     require_closed(p)
     return check_open({}, p, iota)

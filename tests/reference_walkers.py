@@ -23,14 +23,16 @@ Every reference here uses these and no library walker, so the two
 sides stay independent.
 
 And the recursive parser and type checker as they were before they ran
-on explicit stacks: ``RecursiveParser`` is ``syntax._Parser`` with one
-method per grammar rule, and ``check`` hands the judgment to the
-recursive ``_check``, which has separate input and output rules.  These
-two use the library's helpers (the token methods, type operations), so
-only the parsing and checking logic is compared.  The checker splits
-the environment at each ``|`` as the library did before one fold gave
-the free names of every ``|``: ``split_env`` walks both sides with the
-recursive ``free_names`` and ``free_proc_vars``.
+on explicit stacks: ``RecursiveParser`` is the parser with one method
+per grammar rule, and ``check`` hands the judgment to the recursive
+``_check``, which has separate input and output rules.  The parser
+carries its own tokenizer and token helpers as they were before a
+symbol's kind was its lexeme, so the tokenizer is compared too.  The
+checker uses the library's type operations, so only its checking logic
+is compared.  It splits the environment at each ``|`` as the library
+did before one fold gave the free names of every ``|``: ``split_env``
+walks both sides with the recursive ``free_names`` and
+``free_proc_vars``.
 
 And the progress oracle as it was before it answered every residual
 question from its one exploration: ``oracle_dynamic`` explores the
@@ -58,6 +60,7 @@ wherever the reference finishes.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import replace
 
 import sessprog.progress as prog
@@ -84,19 +87,18 @@ from sessprog.syntax import (
     New,
     Output,
     Par,
+    ParseError,
     Process,
     ProcVar,
+    Program,
     Rec,
     SessionType,
     TIn,
     TOut,
     TRec,
     TypeVar,
-    ParseError,
     Var,
     _ident_of,
-    _Parser,
-    _pos,
     co,
     name_str,
     pri_str,
@@ -1048,10 +1050,153 @@ def _entry(p: Process) -> tuple:
     return text, tuple(parts), tuple(dict.fromkeys(free)), all_idents(p)
 
 
-class RecursiveParser(_Parser):
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<num>\d+)
+  | (?P<id>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<sym>[?!.|()\[\],:~+\-=])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+_KEYWORDS = frozenset({"new", "rec", "inf", "end", "int", "type"})
+
+
+def _tokenize(text: str):
+    tokens = []
+    line, start = 1, 0  # the current line and the offset where it starts
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", line, m.start() - start + 1)
+        if kind == "ws" and "\n" in lexeme:
+            line += lexeme.count("\n")
+            start = m.start() + lexeme.rfind("\n") + 1
+        elif kind not in ("ws", "comment"):
+            if kind == "id" and lexeme in _KEYWORDS:
+                kind = lexeme
+            tokens.append((kind, lexeme, line, m.start() - start + 1))
+    tokens.append(("eof", "", line, len(text) - start + 1))
+    return tokens
+
+
+def _pos(tok):
+    return (tok[2], tok[3])
+
+
+class RecursiveParser:
     """The parser of ``sessprog.syntax`` as it was before it ran on
     explicit stacks: one method per grammar rule, each calling the
-    others, so nesting depth is bounded by the recursion limit."""
+    others, so nesting depth is bounded by the recursion limit.  Its
+    tokens are as they were before a symbol's kind was its lexeme: every
+    symbol has kind ``"sym"``, and ``accept``/``expect`` also test the
+    lexeme."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.aliases = {}
+
+    # -- token helpers
+
+    def peek(self):
+        return self.tokens[self.i]  # ``next`` never moves past eof
+
+    def next(self):
+        tok = self.tokens[self.i]
+        if tok[0] != "eof":
+            self.i += 1
+        return tok
+
+    def accept(self, kind, value=None):
+        tok = self.peek()
+        if tok[0] == kind and (value is None or tok[1] == value):
+            return self.next()
+        return None
+
+    def expect(self, kind, value=None, what=None):
+        tok = self.accept(kind, value)
+        if tok is None:
+            got = self.peek()
+            want = what or value or kind
+            raise ParseError(
+                f"expected {want!r}, found {got[1] or 'end of input'!r}",
+                got[2], got[3], expected=(want,),
+            )
+        return tok
+
+    def error(self, message, expected=()):
+        tok = self.peek()
+        raise ParseError(message, tok[2], tok[3], expected=expected)
+
+    # -- programs
+
+    def parse_program(self) -> Program:
+        while self.peek()[0] == "type":
+            self.next()
+            name_tok = self.expect("id", what="alias name")
+            name = name_tok[1]
+            if not name[0].isupper():
+                raise ParseError("type alias names start uppercase", name_tok[2], name_tok[3])
+            if name in self.aliases:
+                raise ParseError(f"duplicate type alias {name!r}", name_tok[2], name_tok[3])
+            self.expect("sym", "=")
+            self.aliases[name] = self.parse_type()
+        proc = self.parse_proc()
+        self.expect("eof", what="end of input")
+        return Program(proc, self.aliases)
+
+    def _name(self):
+        tok = self.expect("id", what="name")
+        if not tok[1][0].islower():
+            raise ParseError("names are lowercase identifiers", tok[2], tok[3])
+        sign = self.peek()
+        if sign[0] == "sym" and sign[1] in "+-":
+            self.next()
+            return Endpoint(tok[1], sign[1])
+        return Var(tok[1])
+
+    def _value(self):
+        tok = self.peek()
+        if tok[0] == "num":
+            self.next()
+            return int(tok[1])
+        return self._name()
+
+    def _index(self):
+        self.expect("sym", "[")
+        tok = self.peek()
+        if tok[0] == "inf":
+            self.next()
+            idx = INF
+        else:
+            idx = int(self.expect("num", what="index")[1])
+        self.expect("sym", "]")
+        return idx
+
+    def _lower_id(self, what):
+        tok = self.expect("id", what=what)
+        if not tok[1][0].islower():
+            raise ParseError(f"{what} identifiers start lowercase", tok[2], tok[3])
+        return tok[1]
+
+    def _upper_id(self, what):
+        tok = self.expect("id", what=what)
+        if not tok[1][0].isupper():
+            raise ParseError(f"{what} identifiers start uppercase", tok[2], tok[3])
+        return tok[1]
+
+    def _priority(self):
+        tok = self.peek()
+        if tok[0] == "num":
+            self.next()
+            return int(tok[1])
+        return self._lower_id("priority variable")
+
+    # -- the recursive rules
 
     def parse_proc(self) -> Process:
         left = self.parse_prefix()

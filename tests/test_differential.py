@@ -476,19 +476,29 @@ def _tree(x):
     return x
 
 
-def _parsed(parser, text, kind):
-    """The AST and alias table a parser class gives for ``text``, or its
+def _library_parse(text, kind):
+    return (syntax.parse_type if kind == "type" else syntax.parse_program)(text)
+
+
+def _reference_parse(text, kind):
+    p = ref.RecursiveParser(text)
+    if kind == "program":
+        return p.parse_program()
+    t = p.parse_type()
+    p.expect("eof", what="end of input")
+    return t
+
+
+def _parsed(parse, text, kind):
+    """The AST and alias table ``parse`` gives for ``text``, or its
     ``ParseError`` as message, line, column and ``expected``."""
     try:
-        p = parser(text)
-        if kind == "type":
-            t = p.parse_type()
-            p.expect("eof", what="end of input")
-            return _tree(t)
-        prog = p.parse_program()
-        return _tree(prog.process), {k: _tree(t) for k, t in prog.type_aliases.items()}
+        x = parse(text, kind)
     except ParseError as e:
         return e.message, e.line, e.col, e.expected
+    if kind == "type":
+        return _tree(x)
+    return _tree(x.process), {k: _tree(t) for k, t in x.type_aliases.items()}
 
 
 def _mutants(rng, text):
@@ -505,7 +515,8 @@ def _mutants(rng, text):
 
 
 def test_parser_matches_the_recursive_parser(monkeypatch):
-    """The parser on explicit stacks against its recursive reference on
+    """The parser on explicit stacks, through the public parse functions,
+    against its recursive reference with its own tokenizer on
     ``corpus/``, printed seeded programs and types, alias programs, and
     seeded truncations and edits of all of them."""
     monkeypatch.setattr(gen, "_uid", itertools.count())
@@ -520,8 +531,8 @@ def test_parser_matches_the_recursive_parser(monkeypatch):
     texts += [(m, kind) for text, kind in texts for m in _mutants(rng, text)]
     outcomes = []
     for text, kind in texts:
-        ours = _parsed(syntax._Parser, text, kind)
-        assert ours == _parsed(ref.RecursiveParser, text, kind), text
+        ours = _parsed(_library_parse, text, kind)
+        assert ours == _parsed(_reference_parse, text, kind), text
         outcomes.append(isinstance(ours[0], str))
     assert len(texts) > 3000 and 500 < sum(outcomes) < len(texts) - 500  # both errors and ASTs
 

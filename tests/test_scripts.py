@@ -1,16 +1,21 @@
 """Smoke test of the scripts under ``scripts/``: each runs to exit 0 in
-a fresh interpreter, and the example report gives the verdict table of
-the shipped corpus.  The benchmark pair is not run here; it only has to
-refuse a parent directory without sessprog sources and fewer than three
-runs per side, and its reading of a metric is checked on constructed
-series."""
+a fresh interpreter, the example report gives the verdict table of the
+shipped corpus, and the CLI outputs cover every subcommand and the exit
+codes of a verdict and of an error.  The benchmark pair is not run here;
+it only has to refuse a parent directory without sessprog sources and
+fewer than three runs per side, and its reading of a metric is checked
+on constructed series."""
 
+import argparse
 import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from sessprog.cli import build_parser
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -37,6 +42,21 @@ def test_examples_report_gives_the_corpus_verdicts():
         "orphan.ssp     reject    unknown           violated-dynamic",
         "self.ssp       reject    unknown           violated-dynamic",
     ]
+
+
+def test_cli_outputs_cover_every_subcommand_and_exit_code():
+    r = _run(SCRIPTS / "cli_outputs.py")
+    assert r.returncode == 0, r.stderr
+    records = [json.loads(line) for line in r.stdout.splitlines()]
+    (commands,) = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands) <= {rec["argv"][0] for rec in records}
+    assert {0, 1, 2} <= {rec["exit"] for rec in records} <= {0, 1, 2, 3}  # no internal fault
+    assert all(rec["stdout"] or rec["stderr"] for rec in records)
+
+
+def test_cli_outputs_need_a_checkout(tmp_path):
+    r = _run(SCRIPTS / "cli_outputs.py", tmp_path)
+    assert r.returncode == 2 and "no sessprog sources" in r.stderr and r.stdout == ""
 
 
 def test_bench_pair_needs_a_parent_checkout(tmp_path):

@@ -145,8 +145,9 @@ def test_approximant_replaces_inf_everywhere():
 
 
 def test_approximant_requires_user_process():
-    with pytest.raises(NotUserProcess):
-        approximant(parse_process("rec[2]X.X"), 1)
+    for text in ("rec[2]X.X", "rec[inf]X.(X | new a.rec[0]Y.Y)"):
+        with pytest.raises(NotUserProcess, match="^finite recursion index in a user process$"):
+            approximant(parse_process(text), 1)
 
 
 def test_approx_leq_basic():
@@ -320,6 +321,21 @@ def test_trace_follows_the_tree_of_stepping_each_state_afresh():
             assert trace_to(r, key) == labels[::-1], pretty_proc(p)
         cycles += any(succ.key == s.key for _st, _label, succ in r.edges)
     assert cycles >= 10
+
+
+def test_trace_reads_the_edges_only_up_to_its_first_edge_into_the_target():
+    # an edge that cannot be read, put right after a state's first
+    # in-edge, leaves its trace as it was; the initial state reads none
+    s = canon("new a.(a+!1.a+!2.0 | a-?(x).a-?(y).0 | a+!3.0 | a-?(z).0)")
+    r = reachable(s)
+    assert trace_to(semantics.Reachable(r.states, r.truncated, [None]), s.key) == []
+    later = 0
+    for key in list(r.states)[1:]:
+        i = next(i for i, (_st, _label, succ) in enumerate(r.edges) if succ.key == key)
+        edges = r.edges[:i + 1] + [None] + r.edges[i + 1:]
+        assert trace_to(semantics.Reachable(r.states, r.truncated, edges), key) == trace_to(r, key)
+        later += i + 1 < len(r.edges)
+    assert later >= 5
 
 
 def test_a_normal_form_is_a_state_without_successors(monkeypatch):
