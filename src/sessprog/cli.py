@@ -2,13 +2,14 @@
 
 Subcommands: check, run, explore, progress, oracle, measure, approx,
 dual.  Exit codes: 0 accept/verified/holds, 1 reject/violated, 2 parse
-or usage error (an unreadable FILE, an ill-formed type, an open program
-or a finite index where a user process is needed included), 3
-internal limit hit (state bound or pair budget), 4 internal fault (any
-other exception, with its traceback on stderr), so that a crash never
-reads as a reject.  A ``RecursionError`` exits 3, as a safety net: no
-walk of the library recurses, but dataclass ``==``, ``hash`` and
-``repr`` on deep nodes still do.
+or usage error (an unreadable FILE, an ill-formed type, an open program,
+a finite index where a user process is needed or an infinite one where
+``measure`` needs a finite one included), 3 internal limit hit (state
+bound or pair budget), 4 internal fault (any other exception, with its
+traceback on stderr), so that a crash never reads as a reject.  A
+``RecursionError`` exits 3, as a safety net: no walk of the library
+recurses, but dataclass ``==``, ``hash`` and ``repr`` on deep nodes
+still do.
 """
 
 from __future__ import annotations
@@ -172,11 +173,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_measure(args) -> int:
     p = _load(args.file)
-    try:
-        e, _v, own = measures(p)
-    except InfiniteIndex as ex:
-        print(f"error: measure undefined, infinite index at {ex}", file=sys.stderr)
-        return EXIT_REJECT
+    e, _v, own = measures(p)  # an infinite index raises InfiniteIndex, a usage error
     table = [
         {"var": r.var, "index": str(r.index), "v": own[id(r)]}
         for r in subterms(p)
@@ -262,7 +259,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, UnicodeDecodeError, NotClosed, NotUserProcess) as e:
+    except (OSError, UnicodeDecodeError, NotClosed, NotUserProcess, InfiniteIndex) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (Truncated, DepthExceeded) as e:

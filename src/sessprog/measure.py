@@ -45,7 +45,7 @@ def measures(p: Process) -> tuple[int, dict, dict]:
         if t is Rec:
             if q.index == INF:  # name the outermost one
                 q = next(r for r in subterms(p) if isinstance(r, Rec) and r.index == INF)
-                raise InfiniteIndex(f"rec[inf] {q.var}")
+                raise InfiniteIndex(f"measure undefined, infinite index at rec[inf] {q.var}")
             e, v = body[0], body[1] or {}
             own[id(q)] = v.get(q.var, 0)
             g = _geom_sum(own[id(q)], q.index)

@@ -63,7 +63,7 @@ def well_formed(t: SessionType) -> tuple[bool, Violation | None]:
         elif isinstance(u, (TIn, TOut)):
             # a closed payload binds every variable in it, whatever is in scope
             if type(u.payload) is not End and type(u.payload) is not Base:  # those two need no fold
-                prefixes = prefixes or free_children(t, (TIn, TOut))
+                prefixes = prefixes or free_children(t, (TIn, TOut))[1]
                 if prefixes[id(u)][0]:
                     return False, Violation("payload type is not closed", u.payload)
             todo += (u.cont, u.payload)
@@ -120,7 +120,7 @@ def capability(t: SessionType):
 
 def syntactic_dual(t: SessionType) -> SessionType:
     """Swap inputs with outputs and each priority pair; the result is
-    strictly dual to ``t``."""
+    strictly dual to ``t`` unless ``t``'s spine ends in ``int``."""
     spine = []
     while isinstance(t, (TIn, TOut, TRec)):
         spine.append(t)

@@ -335,9 +335,10 @@ def free_names(x) -> frozenset:
     return fold(_free_at, x)
 
 
-def free_children(x, kinds: tuple) -> dict:
-    """``id`` of each subterm of ``x`` whose type is in ``kinds`` -> what
-    is free in each of its children, left to right; from one fold."""
+def free_children(x, kinds: tuple) -> tuple[frozenset, dict]:
+    """What is free in ``x``, and the ``id`` of each subterm of ``x`` whose
+    type is in ``kinds`` -> what is free in each of its children, left to
+    right; from one fold."""
     found: dict = {}
 
     def at(y, *vals):
@@ -345,8 +346,7 @@ def free_children(x, kinds: tuple) -> dict:
             found[id(y)] = vals
         return _free_at(y, *vals)
 
-    fold(at, x)
-    return found
+    return fold(at, x), found
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +489,18 @@ def rename_value(v, venv: dict, cenv: dict):
     return v
 
 
-def freshen(p: Process, reserved=()) -> Process:
+def freshen(p: Process, reserved=(), free=None) -> Process:
     """Rename binders so every binder in the result is unique and distinct
-    from every free name.  Binders whose names are not reused keep them,
-    so already-fresh terms come back unchanged."""
+    from every free name (``free``, what is free in ``p``, when the caller
+    has it).  Binders whose names are not reused keep them, so a term
+    whose binders clash with nothing is returned as it is, unrewritten."""
     seen = set(reserved)
-    for n in free_names(p):
+    for n in free_names(p) if free is None else free:
         _ident_of(n, seen)
+    binders = [q.binder if type(q) is Input else q.channel if type(q) is New else q.var
+               for q in subterms(p) if type(q) in (Input, New, Rec)]
+    if seen.isdisjoint(binders) and len(set(binders)) == len(binders):
+        return p
     seen = dict.fromkeys(seen, 0)
 
     def go(q, env):  # env: the binders renamed so far, per kind

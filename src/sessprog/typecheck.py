@@ -44,6 +44,7 @@ from .syntax import (
     TRec,
     TypeVar,
     Var,
+    children,
     free_children,
     free_names,
     freshen,
@@ -243,7 +244,7 @@ def _ob(sigma, t, pos):
         _fail("SubjectTypeMismatch", f"obligation undefined: {e}", pos)
 
 
-def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> ClosedVerdict:
+def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota, sides=None) -> ClosedVerdict:
     """Check the judgment with type-variable environment sigma, process
     environment gamma (process variable to expected name environment of
     type variables), and name environment delta, at judgment index iota.
@@ -251,8 +252,8 @@ def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> ClosedVerd
     decided separately by solve.  The judgments still to check wait on a
     stack: each rule pushes its premises, the right side of a ``|``
     before its left.  What is free in the two sides of every ``|``, which
-    ``split_env`` reads, comes from one fold over ``p``, made first."""
-    sides = free_children(p, (Par,))  # id of each | in p: what is free in its two sides
+    ``split_env`` reads, is ``sides``, else ``free_children(p, (Par,))[1]``."""
+    sides = free_children(p, (Par,))[1] if sides is None else sides
     out: list = []
     todo = [(sigma, gamma, dict(delta), p)]
     try:
@@ -334,11 +335,16 @@ def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> ClosedVerd
             elif isinstance(p, New):
                 pos_t = p.pos_type if p.pos_type is not None else End()
                 neg_t = p.neg_type if p.neg_type is not None else syntactic_dual(pos_t)
-                for t in (pos_t, neg_t):
+                end = pos_t
+                while isinstance(end, (TIn, TOut, TRec)):  # to where the spine of pos_t ends
+                    end = children(end)[-1]
+                # the syntactic dual: well formed as pos_t is, strictly dual unless it ends in int
+                by_dual = p.neg_type is None and not isinstance(end, Base)
+                for t in (pos_t,) if by_dual else (pos_t, neg_t):
                     ok, viol = well_formed(t)
                     if not ok:
                         _fail("SubjectTypeMismatch", f"annotation on {p.channel}: {viol}", p.pos)
-                if iota == 0:
+                if iota == 0 and not by_dual:
                     ok, path = dual_strict_path(pos_t, neg_t)
                     if not ok:
                         _fail(
@@ -347,7 +353,7 @@ def check(sigma: dict, gamma: dict, delta: dict, p: Process, iota) -> ClosedVerd
                             f"(mismatch at prefix path {list(path)})",
                             p.pos,
                         )
-                elif not dual_full(pos_t, neg_t):
+                elif not (by_dual or dual_full(pos_t, neg_t)):
                     c = p.channel
                     _fail("DualityFailure", f"types of {c}+ and {c}- are not dual", p.pos)
                 inner = dict(delta)
@@ -433,11 +439,15 @@ def context_reduce(delta: dict) -> list:
     return out
 
 
-def check_open(delta: dict, p: Process, iota) -> ClosedVerdict:
+def check_open(delta: dict, p: Process, iota, folded=None) -> ClosedVerdict:
     """Check a process against an explicit name environment (empty type
-    variable and process environments) and solve the constraints."""
+    variable and process environments) and solve the constraints.
+    ``folded`` is ``free_children(p, (Par,))``, when the caller has it:
+    freshening and the check read it, and fold again only a renamed ``p``."""
+    free, sides = folded or free_children(p, (Par,))
     reserved = {u.ident if isinstance(u, Var) else u.channel for u in delta}
-    res = check({}, {}, delta, freshen(p, reserved=reserved), iota)
+    q = freshen(p, reserved, free)
+    res = check({}, {}, delta, q, iota, sides if q is p else None)
     if not res.ok:
         return res
     sol = solve(res.constraints)
@@ -456,14 +466,17 @@ class NotClosed(Exception):
     """A program that must be closed has free names."""
 
 
-def require_closed(p: Process) -> None:
-    fv = [n for n in free_names(p) if not isinstance(n, str)]  # process variables aside
+def require_closed(p: Process, free=None) -> None:
+    """``NotClosed`` if ``p`` (free names ``free``, if folded already) is open."""
+    fv = [n for n in (free_names(p) if free is None else free) if not isinstance(n, str)]
     if fv:
         names = ", ".join(sorted(name_str(n) for n in fv))
         raise NotClosed(f"free names in a closed program: {names}")
 
 
 def check_closed(p: Process, iota) -> ClosedVerdict:
-    """Check a closed process; an open one raises ``NotClosed``."""
-    require_closed(p)
-    return check_open({}, p, iota)
+    """Check a closed process; an open one raises ``NotClosed``.  One fold
+    over ``p`` serves the closedness test, freshening and the check."""
+    folded = free_children(p, (Par,))
+    require_closed(p, folded[0])
+    return check_open({}, p, iota, folded)

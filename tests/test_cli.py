@@ -92,8 +92,10 @@ def test_measure_output(capsys):
 
 
 def test_measure_infinite_index(capsys):
-    code, _, err = run(capsys, "measure", CORPUS / "forwarder.ssp")
-    assert code == 1 and "infinite" in err
+    # an infinite index is a usage error of measure, not a reject
+    for name in ("forwarder.ssp", "orphan.ssp"):
+        code, out, err = run(capsys, "measure", CORPUS / name)
+        assert (code, out, err) == (2, "", "error: measure undefined, infinite index at rec[inf] X\n")
 
 
 def test_approx_prints_replaced_indices(capsys):

@@ -49,6 +49,7 @@ from sessprog.syntax import (
     Base,
     End,
     Endpoint,
+    Idle,
     Input,
     New,
     Output,
@@ -246,6 +247,15 @@ def test_duality_path(deep):
     assert within(WALK_S, dual_strict_path, deep, syntactic_dual(deep)) == (True, ())
     ended = syntactic_dual(deep_type(tail=End()))
     assert within(WALK_S, dual_strict_path, deep, ended) == (False, tuple(range(N)))
+
+
+def test_check_of_one_annotation_searches_no_pairs(deep):
+    # the negative type of ``new a : T`` is T's syntactic dual, dual by
+    # construction, so no pair search runs into DUAL_PAIR_BUDGET, as a
+    # search of its 10,100 pairs would at index inf
+    for iota in (0, INF):
+        v = within(WALK_S, check_closed, New("a", deep, None, Idle()), iota)
+        assert [d.rule for d in v.diagnostics] == ["UnusedLinearName"]
 
 
 # Texts 10,000 levels deep through the command line: the parser and the

@@ -228,6 +228,52 @@ def test_renamings_and_keys_match_reference_on_clashing_names():
     assert renamed > 100  # the corpus does clash
 
 
+def _binder_field(q):
+    return "binder" if isinstance(q, Input) else "channel" if isinstance(q, New) else "var"
+
+
+def _rebound(rng, p):
+    """``p`` with one binder given the name of another binder, of either
+    kind, or of a free name; its occurrences keep theirs."""
+    binders = [q for q in subterms(p) if isinstance(q, (Input, New, Rec))]
+    if not binders:
+        return p
+    names = {getattr(q, _binder_field(q)) for q in binders}
+    for n in free_names(p):
+        syntax._ident_of(n, names)
+    target, name = rng.choice(binders), rng.choice(sorted(names))
+
+    def go(q, env):
+        return (replace(q, **{_binder_field(q): name}), None) if q is target else (q, env)
+
+    return syntax.rewrite(go, p, ())
+
+
+def test_freshen_returns_early_exactly_where_the_full_rewrite_renames_nothing(monkeypatch):
+    """``freshen`` returns a term whose binders clash with nothing as it
+    is, unrewritten; elsewhere it renames as the full rewrite of the
+    reference does.  On ``corpus/``, seeded programs of every generator,
+    name-clashing ones, and each of them with a binder renamed to reuse
+    another binder's name or a free name, with and without reserved
+    names."""
+    monkeypatch.setattr(gen, "_uid", itertools.count())
+    rng = random.Random(41)
+    programs = [parse_program(f.read_text()).process for f in sorted(CORPUS.glob("*.ssp"))]
+    for _ in range(100):
+        programs += [gen_finite(rng), gen_user(rng), gen_well_typed(rng), gen_well_typed_user(rng)]
+    programs += [_clashing(rng, 7) for _ in range(100)]
+    programs += [_rebound(rng, p) for p in programs for _ in range(2)]
+    early = renamed = 0
+    for p in programs:
+        for reserved in ((), {"a", "x", "X"}):
+            ours, theirs = freshen(p, reserved), ref.freshen(p, reserved)
+            assert ours == theirs and pretty_proc(ours) == pretty_proc(theirs)
+            assert (ours is p) == (theirs == p)
+            early += ours is p
+            renamed += ours is not p
+    assert early > 500 and renamed > 500, (early, renamed)
+
+
 def test_canonicalize_matches_reference_where_no_name_is_reused():
     rng = random.Random(3)
     for _ in range(200):
@@ -393,6 +439,37 @@ def _type_corpus(monkeypatch, rng):
     return types + [_any_type(rng, rng.randint(1, 6)) for _ in range(2000)]
 
 
+def test_a_syntactic_dual_is_dual_by_construction(monkeypatch):
+    """Why the checker neither searches nor checks again the syntactic
+    dual of a ``new a : T``: when the spine of ``T`` (its continuations
+    and recursion bodies) does not end in ``int``, ``syntactic_dual(T)``
+    is strictly dual to ``T`` and, if ``T`` is well formed, fully dual;
+    when it does, they are not strictly dual.  Either way the dual is
+    well formed exactly when ``T`` is.  On the types of ``_type_corpus``
+    (``gen_type`` types and their subterms, then types of any shape) and
+    every annotation and alias of ``corpus/``."""
+    types = _type_corpus(monkeypatch, random.Random(37))
+    for f in sorted(CORPUS.glob("*.ssp")):
+        program = parse_program(f.read_text())
+        types += program.type_aliases.values()
+        types += [t for q in subterms(program.process) if isinstance(q, New)
+                  for t in (q.pos_type, q.neg_type) if t is not None]
+    by_construction = ending_in_int = 0
+    for t in types:
+        d, end = syntactic_dual(t), t
+        while isinstance(end, (TIn, TOut, TRec)):
+            end = children(end)[-1]
+        (ok, why), (dual_ok, dual_why) = well_formed(t), well_formed(d)
+        assert dual_ok == ok and (ok or dual_why.reason == why.reason)
+        if isinstance(end, Base):
+            assert not dual_strict_path(t, d)[0]
+            ending_in_int += 1
+        else:
+            assert dual_strict_path(t, d) == (True, ()) and (not ok or dual_full(t, d))
+            by_construction += ok
+    assert by_construction > 2000 and ending_in_int > 300, (by_construction, ending_in_int)
+
+
 def test_type_operations_match_the_recursive_walkers(monkeypatch):
     rng = random.Random(19)
     types = _type_corpus(monkeypatch, rng)
@@ -553,10 +630,12 @@ def _beside(p, side):
 def test_checker_matches_the_recursive_checker(monkeypatch):
     """The worklist checker, which splits the environment at every ``|``
     by the free names of one fold, against the recursive ``_check``,
-    which walks both sides of each ``|``, at indices 0, 1 and inf:
-    constraints with origin and position, diagnostics and solutions,
-    variables in the same order.  An open program's verdict is the text
-    of its ``NotClosed``."""
+    which walks both sides of each ``|`` and searches every pair of
+    annotations for duality, syntactic duals included, at indices 0, 1
+    and inf: constraints with origin and position, diagnostics and
+    solutions, variables in the same order.  The reference ignores the
+    table of free sides that ``check_open`` hands on.  An open program's
+    verdict is the text of its ``NotClosed``."""
     rng = random.Random(31)
     programs = [parse_program(f.read_text()).process for f in sorted(CORPUS.glob("*.ssp"))]
     programs += [gen_user(rng) for _ in range(300)] + [gen_well_typed_user(rng) for _ in range(150)]
@@ -582,11 +661,14 @@ def test_checker_matches_the_recursive_checker(monkeypatch):
                     out.append((v, list(v.assignment.values.items()) if v.assignment else None))
         return out
 
+    def reference(sigma, gamma, delta, p, iota, _sides):
+        return ref.check(sigma, gamma, delta, p, iota)
+
     ours = verdicts()
     with monkeypatch.context() as m:
-        m.setattr(typecheck, "check", ref.check)
+        m.setattr(typecheck, "check", reference)
         theirs = verdicts()
-    assert ours == theirs
+    assert ours == theirs and len(ours) > 1_500
     checked = [x[0] for x in ours if type(x) is tuple]
     rules = {d.rule for v in checked for d in v.diagnostics}
     assert sum(v.ok for v in checked) > 300 and len(rules) == 6, rules

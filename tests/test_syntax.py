@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sessprog import syntax
 from sessprog.gen import gen_finite, gen_type, gen_user
 from sessprog.syntax import (
     INF,
@@ -147,6 +148,26 @@ def test_freshen_respects_reserved():
     p = parse_process("a+?(x).0")
     f = freshen(p, reserved={"x"})
     assert f.binder != "x"
+
+
+def test_freshen_returns_a_term_without_clashes_itself(monkeypatch):
+    fresh = [
+        parse_process("new a.(a+!1.0 | a-?(x).rec[inf]X.new b.X) | c+?(y).0"),
+        parse_process("a+?(x).b+?(y).0"),
+        parse_process("0"),
+    ]
+    clashing = [
+        (parse_process("a+?(x).0 | b+?(x).0"), ()),  # two binders share a name
+        (parse_process("new x.0 | c-?(x).0"), ()),  # across kinds too
+        (parse_process("c+!1.0 | new c.0"), ()),  # a binder shadows a free name
+        (parse_process("X | rec[2]X.X"), ()),  # a free process variable included
+        (parse_process("a+?(x).0"), {"x"}),  # or a reserved one
+    ]
+    for p, reserved in clashing:
+        assert freshen(p, reserved) != p
+    monkeypatch.setattr(syntax, "rewrite", None)  # a term without clashes is not rewritten
+    for p in fresh:
+        assert freshen(p) is p and freshen(p, reserved={"d", "Y"}) is p
 
 
 @settings(max_examples=60, deadline=None)

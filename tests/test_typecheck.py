@@ -12,7 +12,16 @@ from helpers import CORPUS, ann_delta, corpus_process, subject_reduction_holds, 
 from sessprog import syntax, typecheck
 from sessprog.gen import gen_well_typed, gen_well_typed_user
 from sessprog.semantics import approximant, canonicalize, state_to_process
-from sessprog.syntax import INF, Endpoint, Process, free_names, freshen, parse_process, parse_type
+from sessprog.syntax import (
+    INF,
+    Endpoint,
+    Par,
+    Process,
+    free_names,
+    freshen,
+    parse_process,
+    parse_type,
+)
 from sessprog.typecheck import (
     Assignment,
     Constraint,
@@ -329,7 +338,9 @@ def test_approximant_typability(seed, n):
 
 def test_check_folds_its_process_once(monkeypatch):
     # what is free in both sides of every | comes from one fold over the
-    # whole process, not from walks of each side at each |
+    # whole process, not from walks of each side at each |; check_closed's
+    # closedness test and freshening read that fold too, and only a process
+    # whose binders freshening renames is folded again, renamed
     p = freshen(gen_well_typed_user(random.Random(6), cells=300))
     folded = []
     fold = syntax.fold
@@ -342,6 +353,25 @@ def test_check_folds_its_process_once(monkeypatch):
     monkeypatch.setattr(syntax, "fold", counting)
     assert check({}, {}, {}, p, INF).ok
     assert len(folded) == 1 and folded[0] is p
+    folded.clear()
+    assert check_closed(p, INF).ok
+    assert len(folded) == 1 and folded[0] is p
+    folded.clear()
+    twice = Par(p, p)  # every binder clashes with its copy
+    assert check_closed(twice, INF).ok
+    assert len(folded) == 2 and folded[0] is twice and folded[1] == freshen(twice)
+
+
+def test_a_spine_ending_in_int_keeps_its_duality_search():
+    # no rule makes int dual to int, so the syntactic dual of such a type
+    # is not dual to it: the diagnostics are those of the duality search
+    for text, path in (("new a : int.0", []), ("new a : ![0,1] int . int.0", [0])):
+        for iota in (0, 1, INF):
+            v = check_closed(parse_process(text), iota)
+            what = f"strictly dual (mismatch at prefix path {path})" if iota == 0 else "dual"
+            assert [str(d) for d in v.diagnostics] == [
+                f"1:1: DualityFailure: types of a+ and a- are not {what}"
+            ]
 
 
 def test_a_fault_in_the_checker_is_not_a_reject(monkeypatch):
