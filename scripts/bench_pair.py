@@ -6,10 +6,11 @@ Usage: bench_pair.py PARENT_DIR --out BENCH_<n>.json --seed N [--runs R]
 For each workload of ``BENCHMARK.json``, runs ``bench/run.py --trace 0``
 for the benchmark's ``run_seconds`` R times (default 10, at least 3) in
 PARENT_DIR and R times in this checkout, alternating which side of a
-pair goes first.  Writes one JSON file with each side's ``src/`` line
-count and, per workload, each side's median and quartiles of every
-end-to-end metric, the share of operations that failed and whether
-every verdict checked.  Each metric is then read as ``better`` (the
+pair goes first.  Both checkouts' ``src/`` are byte-compiled before the
+first run, so neither side's start-up pays for stale bytecode.  Writes
+one JSON file with each side's ``src/`` line count and, per workload,
+each side's median and quartiles of every end-to-end metric, the share
+of operations that failed and whether every verdict checked.  Each metric is then read as ``better`` (the
 change wins at least 9 pairs in 10 and the medians differ by more than
 the parent's quartile distance), ``unresolved`` (the parent's quartile
 distance exceeds the metric's bound and not every change run beats
@@ -96,6 +97,8 @@ def main(argv=None) -> int:
     metrics = [m["name"] for m in spec["end_to_end"]]
     sides = {"parent": parent, "change": ROOT}
     raw: dict = {side: {} for side in sides}
+    for root in sides.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(root / "src")], check=True)
     for w in (w["name"] for w in spec["workloads"]):
         for run in range(args.runs):
             order = list(sides) if run % 2 == 0 else list(sides)[::-1]

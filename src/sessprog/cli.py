@@ -94,25 +94,14 @@ def _load(path: str) -> Process:
 def _cmd_check(args) -> int:
     p = _load(args.file)
     v = check_closed(p, args.judgment_index)
+    evidence = v.evidence
     if v.ok:
-        values = v.assignment.values if v.assignment else {}
-        _emit(
-            args,
-            {
-                "status": "accept",
-                "assignment": values,
-                "constraints": [str(c) for c in v.constraints],
-            },
-            "accept\nassignment: "
-            + (", ".join(f"{k}={n}" for k, n in sorted(values.items())) or "(empty)"),
-        )
-        return EXIT_OK
-    _emit(
-        args,
-        {"status": "reject", "diagnostics": [d.to_json() for d in v.diagnostics]},
-        "reject\n" + "\n".join(str(d) for d in v.diagnostics),
-    )
-    return EXIT_REJECT
+        values = ", ".join(f"{k}={n}" for k, n in sorted(evidence["assignment"].items()))
+        text = "accept\nassignment: " + (values or "(empty)")
+    else:
+        text = "reject\n" + "\n".join(str(d) for d in v.diagnostics)
+    _emit(args, {"status": "accept" if v.ok else "reject", **evidence}, text)
+    return EXIT_OK if v.ok else EXIT_REJECT
 
 
 def _cmd_run(args) -> int:

@@ -60,19 +60,7 @@ def verify_static(p: Process) -> ProgressVerdict:
     index 0 (strict duality at restrictions).  Acceptance proves
     progress; rejection proves nothing."""
     verdict = check_closed(approximant(p, 0), 0)
-    if verdict.ok:
-        assignment = verdict.assignment
-        return ProgressVerdict(
-            status="verified-static",
-            evidence={
-                "assignment": {} if assignment is None else dict(assignment.values),
-                "constraints": [str(c) for c in verdict.constraints],
-            },
-        )
-    return ProgressVerdict(
-        status="unknown",
-        evidence={"diagnostics": [d.to_json() for d in verdict.diagnostics]},
-    )
+    return ProgressVerdict("verified-static" if verdict.ok else "unknown", verdict.evidence)
 
 
 def _numbering(s: CanonState) -> dict:

@@ -12,9 +12,10 @@ names of hoisted channels, so congruent states can get different keys
 ``|``-mirror 26).
 
 A state carries, next to each thread, the entry one walk of the thread
-yields: sort text, text runs and endpoint slots, free channels and
-every identifier.  Threads are handed on by identity to successors, so
-one exploration memoizes, by thread identity, what a thread turns into
+yields: sort text, text runs and free endpoint slots, free channels and
+every identifier; a key writes the slots of hoisted channels as their
+numbers.  Threads are handed on by identity to successors, so one
+exploration memoizes, by thread identity, what a thread turns into
 (``_reduct``): a sender's continuation, a receiver's per payload, an
 unfolding per choice of fresh names for its ``new`` binders.  A
 successor is its parent's ``(thread, entry)`` pairs with those pieces
@@ -42,7 +43,6 @@ from .syntax import (
     Process,
     ProcVar,
     Rec,
-    SessionType,
     TRec,
     Var,
     children,
@@ -100,12 +100,12 @@ class CanonState:
 
 def _serialize(p: Process) -> tuple:
     """The ``sers`` entry of a sequential term, from one walk: ``(text,
-    parts, free, idents)``.  ``parts`` alternates runs of text with
-    endpoint slots ``(channel, polarity, text, free)``, with binders
-    numbered in preorder and each slot's text its binder's token or
-    ``'channel``; ``text`` is ``parts`` joined, the channel-agnostic sort
-    text; ``free`` holds the channels of the free slots in order of first
-    occurrence and ``idents`` every name the term mentions or binds."""
+    parts, free, idents)``.  ``parts`` alternates runs of text (binders
+    numbered in preorder, a bound endpoint written as its binder's token)
+    with free endpoint slots ``(channel, polarity)``; ``text`` is ``parts``
+    joined, each slot as ``'channel``: the channel-agnostic sort text;
+    ``free`` holds the slots' channels in order of first occurrence and
+    ``idents`` every name the term mentions or binds."""
     parts: list = []
     run: list = []  # the text since the last slot
     idents: dict = {}
@@ -116,9 +116,11 @@ def _serialize(p: Process) -> tuple:
         if isinstance(v, Endpoint):
             idents[v.channel] = None
             tok = env.get(("c", v.channel))
-            text = (f"'{v.channel}" if tok is None else tok) + v.polarity
-            parts.extend(("".join(run), (v.channel, v.polarity, text, tok is None)))
-            run.clear()
+            if tok is None:
+                parts.extend(("".join(run), (v.channel, v.polarity)))
+                run.clear()
+            else:
+                run.append(tok + v.polarity)
         elif isinstance(v, Var):
             idents[v.ident] = None
             run.append(env.get(("v", v.ident), f"'{v.ident}"))
@@ -163,37 +165,35 @@ def _serialize(p: Process) -> tuple:
             todo.append((q.body, {**env, bound: tok}))
     parts.append("".join(run))
     return (
-        "".join([x if type(x) is str else x[2] for x in parts]),
+        "".join([x if type(x) is str else f"'{x[0]}{x[1]}" for x in parts]),
         tuple(parts),
-        tuple(dict.fromkeys([x[0] for x in parts[1::2] if x[3]])),
+        tuple(dict.fromkeys([x[0] for x in parts[1::2]])),
         tuple(idents),
     )
 
 
 def _make_state(chan_anns: dict, threads: list) -> CanonState:
     """The canonical state of the non-idle ``threads``, ``(process, sers
-    entry)`` pairs, under ``chan_anns``."""
-    # order threads by their channel-agnostic serialization, then number
-    # the restricted channels by first free occurrence in that order
+    entry)`` pairs, under ``chan_anns``: threads in the order of their
+    sort texts, and the hoisted channels they use numbered in one pass
+    by first free occurrence in that order (the others are dropped)."""
     sers = sorted(threads, key=lambda te: te[1][0])
-    used = set().union(*[entry[2] for _t, entry in sers])
-    chans = {c: chan_anns[c] for c in chan_anns if c in used}
     chan_map: dict = {}
     for _t, (_text, _parts, free, _idents) in sers:
         for c in free:
-            if c in chans and c not in chan_map:
+            if c in chan_anns and c not in chan_map:
                 chan_map[c] = f"#{len(chan_map)}"
     keys = sorted(
         text if chan_map.keys().isdisjoint(free) else "".join([
-            x if type(x) is str else chan_map[x[0]] + x[1] if x[3] and x[0] in chan_map else x[2]
+            x if type(x) is str else (chan_map[x[0]] if x[0] in chan_map else f"'{x[0]}") + x[1]
             for x in parts
         ])
         for _t, (text, parts, free, _idents) in sers
     )
     return CanonState(
-        key=f"nu[{len(chans)}] " + " || ".join(keys),
+        key=f"nu[{len(chan_map)}] " + " || ".join(keys),
         threads=tuple(t for t, _entry in sers),
-        anns={c: chans[c] for c in chan_map},
+        anns={c: chan_anns[c] for c in chan_map},
         sers=tuple(entry for _t, entry in sers),
     )
 
@@ -242,34 +242,32 @@ def is_user_process(p: Process) -> bool:
     return all(q.index == INF for q in subterms(p) if isinstance(q, Rec))
 
 
-def approximant(p: Process, iota) -> Process:
-    """Replace every infinite recursion index (in processes and in type
-    annotations) with ``iota``; requires a user process, and raises
-    ``NotUserProcess`` at its first ``rec`` with a finite index."""
-
-    def go(q, env):
-        if isinstance(q, Rec):
-            if q.index != INF:
-                raise NotUserProcess("finite recursion index in a user process")
-            q = replace(q, index=iota)
-        elif isinstance(q, New):
-            pos_t, neg_t = approximant_type(q.pos_type, iota), approximant_type(q.neg_type, iota)
-            q = replace(q, pos_type=pos_t, neg_type=neg_t)
-        return q, env
-
-    return rewrite(go, p)
-
-
 def _approximant_at(u, iota):
-    if isinstance(u, TRec) and u.index == INF:
+    """``approximant``'s step on a type."""
+    if type(u) is TRec and u.index == INF:
         u = TRec(iota, u.var, u.body)
     return u, iota
 
 
-def approximant_type(t: SessionType | None, iota) -> SessionType | None:
-    """``t`` with every infinite recursion index replaced by ``iota``; a
-    missing annotation (None) has no subterms and stays None."""
-    return rewrite(_approximant_at, t, iota)
+def approximant(x, iota):
+    """``x`` (a process, a session type or a missing annotation, None)
+    with every infinite recursion index, in a process also those of its
+    annotations, replaced by ``iota``.  What holds no infinite index is
+    given back as the same object.  A process must be a user process:
+    ``NotUserProcess`` is raised at its first finite ``rec``."""
+
+    def go(q, env):
+        if type(q) is Rec:
+            if q.index != INF:
+                raise NotUserProcess("finite recursion index in a user process")
+            q = Rec(iota, q.var, q.body, q.pos)
+        elif type(q) is New:
+            pos_t, neg_t = (rewrite(_approximant_at, t, iota) for t in (q.pos_type, q.neg_type))
+            if pos_t is not q.pos_type or neg_t is not q.neg_type:
+                q = New(q.channel, pos_t, neg_t, q.body, q.pos)
+        return q, env
+
+    return rewrite(go if isinstance(x, Process) else _approximant_at, x, iota)
 
 
 def approx_leq(p, q) -> bool:

@@ -664,10 +664,8 @@ class _Parser:
 
     def parse_program(self) -> Program:
         while self.accept("type"):
-            name_tok = self.expect("id", what="alias name")
+            name_tok = self._ident("alias name", True, "type alias names start uppercase")
             name = name_tok[1]
-            if not name[0].isupper():
-                raise ParseError("type alias names start uppercase", name_tok[2], name_tok[3])
             if name in self.aliases:
                 raise ParseError(f"duplicate type alias {name!r}", name_tok[2], name_tok[3])
             self.expect("=")
@@ -725,7 +723,8 @@ class _Parser:
         elif tok[0] == "rec":
             self.next()
             idx = self._index()
-            head = Rec, (idx, self._upper_id("process variable"))
+            var = self._ident("process variable", True, "process variable identifiers start uppercase")
+            head = Rec, (idx, var[1])
         elif tok[0] == "id":
             subject = self._name()
             if self.accept("?"):
@@ -744,10 +743,20 @@ class _Parser:
         self.expect(".")
         return head
 
+    def _ident(self, what, upper, message):
+        """Read an identifier token: ``what`` names it when none comes, and
+        ``message`` is the error when its first letter is not uppercase
+        (``upper``) or not lowercase (not ``upper``)."""
+        tok = self.expect("id", what=what)
+        if tok[1][0].isupper() != upper:
+            raise ParseError(message, tok[2], tok[3])
+        return tok
+
+    def _lower_id(self, what):
+        return self._ident(what, False, f"{what} identifiers start lowercase")[1]
+
     def _name(self):
-        tok = self.expect("id", what="name")
-        if not tok[1][0].islower():
-            raise ParseError("names are lowercase identifiers", tok[2], tok[3])
+        tok = self._ident("name", False, "names are lowercase identifiers")
         sign = self.accept("+") or self.accept("-")
         return Endpoint(tok[1], sign[0]) if sign else Var(tok[1])
 
@@ -760,18 +769,6 @@ class _Parser:
         idx = INF if self.accept("inf") else int(self.expect("num", what="index")[1])
         self.expect("]")
         return idx
-
-    def _lower_id(self, what):
-        tok = self.expect("id", what=what)
-        if not tok[1][0].islower():
-            raise ParseError(f"{what} identifiers start lowercase", tok[2], tok[3])
-        return tok[1]
-
-    def _upper_id(self, what):
-        tok = self.expect("id", what=what)
-        if not tok[1][0].isupper():
-            raise ParseError(f"{what} identifiers start uppercase", tok[2], tok[3])
-        return tok[1]
 
     # -- session types
 

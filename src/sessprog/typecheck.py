@@ -197,6 +197,15 @@ class ClosedVerdict:
     def assignment(self):
         return self.solution if isinstance(self.solution, Assignment) else None
 
+    @property
+    def evidence(self) -> dict:
+        """What the verdict rests on, as JSON: an acceptance's priority
+        assignment and constraints, or a rejection's diagnostics."""
+        if not self.ok:
+            return {"diagnostics": [d.to_json() for d in self.diagnostics]}
+        values = {} if self.assignment is None else dict(self.assignment.values)
+        return {"assignment": values, "constraints": [str(c) for c in self.constraints]}
+
 
 class _Fail(Exception):
     def __init__(self, diag: Diagnostic):

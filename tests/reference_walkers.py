@@ -1035,18 +1035,20 @@ def _serialize(p: Process) -> list:
 def _entry(p: Process) -> tuple:
     """The ``sers`` entry that ``sessprog.semantics._serialize`` gives,
     built from ``_serialize``'s pieces and ``all_idents``: the joined
-    text, the runs of text joined between slots, the channels of the free
-    slots in order of first occurrence, and the identifiers as a set."""
+    text, the runs of text (a bound slot's text among them) joined
+    between the free slots, each as ``(channel, polarity)``, the channels
+    of those slots in order of first occurrence, and the identifiers as a
+    set."""
     parts, run = [], []
     for x in _serialize(p):
-        if type(x) is str:
-            run.append(x)
+        if type(x) is str or not x[3]:
+            run.append(x if type(x) is str else x[2])
         else:
-            parts += ("".join(run), x)
+            parts += ("".join(run), x[:2])
             run = []
     parts.append("".join(run))
-    free = [x[0] for x in parts[1::2] if x[3]]
-    text = "".join([x if type(x) is str else x[2] for x in parts])
+    free = [x[0] for x in parts[1::2]]
+    text = "".join([x if type(x) is str else f"'{x[0]}{x[1]}" for x in parts])
     return text, tuple(parts), tuple(dict.fromkeys(free)), all_idents(p)
 
 

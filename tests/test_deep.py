@@ -30,7 +30,6 @@ from sessprog.semantics import (
     _serialize,
     approx_leq,
     approximant,
-    approximant_type,
     canonicalize,
     reachable,
 )
@@ -238,7 +237,7 @@ def test_type_rewrites_and_keys(deep):
     assert type_key(within(WALK_S, syntactic_dual, dual)) == deep_type_key()
     text = deep_type_text()
     assert pretty_type(within(WALK_S, unfold, deep)) == text[len("rec[inf] t0. "):-len("t0")] + text
-    approx = within(WALK_S, approximant_type, deep, 2)
+    approx = within(WALK_S, approximant, deep, 2)
     assert pretty_type(approx) == deep_type_text(index=2)
     assert within(WALK_S, approx_leq, approx, deep) and not approx_leq(deep, approx)
 

@@ -27,6 +27,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 from dataclasses import fields, is_dataclass, replace
 
 import reference_walkers as ref
@@ -46,7 +47,6 @@ from sessprog.semantics import (
     _make_state,
     _rename_news,
     approximant,
-    approximant_type,
     approx_leq,
     canonicalize,
     reachable,
@@ -396,6 +396,10 @@ def test_process_folds_printers_and_keys_match_the_recursive_walkers(monkeypatch
         m.setattr(semantics, "_serialize", ref._entry)
         theirs = [_make_state(*_flatten(q)).key for q in subs]
     assert ours == theirs
+    # and as the reference's separate walks number and render them, open
+    # terms among them: a free channel that is not hoisted keeps its name
+    assert ours == [ref.canonicalize(q).key for q in subs]
+    assert sum("#" in key and re.search(r"'\w+[+-]", key) is not None for key in ours) > 250
     annotated = sum(isinstance(q, New) and q.pos_type is not None for q in subs)
     assert len(subs) > 8000 and annotated > 500
 
@@ -493,7 +497,7 @@ def test_type_operations_match_the_recursive_walkers(monkeypatch):
         raised |= {
             o[0] for o in (_outcome(obligation, {}, t), _outcome(capability, t)) if isinstance(o, tuple)
         }
-        approx = [approximant_type(t, i) for i in range(3)] + [t]
+        approx = [approximant(t, i) for i in range(3)] + [t]
         assert [pretty_type(a) for a in approx[:3]] == [
             pretty_type(ref.approximant_type(t, i)) for i in range(3)
         ]

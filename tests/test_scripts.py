@@ -3,8 +3,9 @@ a fresh interpreter, the example report gives the verdict table of the
 shipped corpus, and the CLI outputs cover every subcommand and the exit
 codes of a verdict and of an error.  The benchmark pair is not run here;
 it only has to refuse a parent directory without sessprog sources and
-fewer than three runs per side, and its reading of a metric is checked
-on constructed series."""
+fewer than three runs per side, to byte-compile both checkouts before
+its first (stubbed) run, and its reading of a metric is checked on
+constructed series."""
 
 import argparse
 import importlib.util
@@ -75,11 +76,41 @@ def test_bench_pair_needs_three_runs_per_side(tmp_path):
     assert not out.exists()
 
 
-def _compare():
+def _bench_pair():
     spec = importlib.util.spec_from_file_location("bench_pair", SCRIPTS / "bench_pair.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.compare
+    return module
+
+
+def test_bench_pair_compiles_both_checkouts_before_the_first_run(tmp_path, monkeypatch):
+    # a checkout whose bytecode is missing or older than its sources would
+    # compile it in every benchmark child and read a higher setup_s
+    bench_pair = _bench_pair()
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    roots = [tmp_path / "parent", tmp_path / "change"]
+    for root in roots:
+        (root / "src" / "sessprog").mkdir(parents=True)
+        (root / "src" / "sessprog" / "__init__.py").write_text("")
+        (root / "src" / "sessprog" / "mod.py").write_text("X = 1\n")
+        (root / "bench").mkdir()
+        (root / "bench" / "run.py").write_text("")
+    (roots[1] / "BENCHMARK.json").write_text(json.dumps(spec))
+    sources = [f for root in roots for f in sorted((root / "src").rglob("*.py"))]
+    runs = []
+
+    def bench_once(root, workload, seed, seconds):
+        assert all(pathlib.Path(importlib.util.cache_from_source(str(f))).is_file() for f in sources)
+        runs.append(root)
+        metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+        return {"metrics": metrics, "correct": True, "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(bench_pair, "ROOT", roots[1])
+    monkeypatch.setattr(bench_pair, "bench_once", bench_once)
+    out = tmp_path / "pair.json"
+    assert bench_pair.main([str(roots[0]), "--out", str(out), "--seed", "1", "--runs", "3"]) == 0
+    assert sorted(set(runs)) == sorted(roots) and len(runs) == 2 * 3 * len(spec["workloads"])
+    assert json.loads(out.read_text())["runs_per_side"] == 3
 
 
 RATE = {"name": "programs_per_s", "better": "higher", "bound": 0.15}
@@ -109,6 +140,6 @@ def _but(xs, first, delta):
     (TIME, [x / 10 for x in WIDE], [x / 10 - 0.1 for x in WIDE], "unresolved", 10),
 ])
 def test_bench_pair_reads_a_metric(metric, parent, change, verdict, won):
-    result = _compare()(parent, change, metric)
+    result = _bench_pair().compare(parent, change, metric)
     assert (result["verdict"], result["pairs_won"]) == (verdict, won)
 

@@ -150,6 +150,24 @@ def test_approximant_requires_user_process():
             approximant(parse_process(text), 1)
 
 
+def test_approximant_shares_what_it_leaves_unchanged():
+    # no rec and no infinite annotation index: the process itself
+    p = parse_process("new a : ![0,1] int . end . (a+!1.0 | a-?(x).new b.(b+!a+.0 | b-?(y).0))")
+    assert approximant(p, 0) is p
+    # the rec-free side of a | comes back as the same object, the other is rebuilt
+    p = parse_process("new a : ![0,1] int . end . (a+!1.0 | a-?(x).0) | rec[inf] X.X")
+    q = approximant(p, 0)
+    assert q.left is p.left and q.right is not p.right and q.right.index == 0
+    # a new whose annotation changes is rebuilt around the same body
+    p = parse_process("new a : rec[inf]t. ![0,0] int . t.(a+!1.0 | a-?(x).0)")
+    q = approximant(p, 2)
+    assert q.pos_type.index == 2 and q.neg_type is None and q.body is p.body
+    # types and a missing annotation
+    t = p.pos_type
+    assert approximant(t.body, 1) is t.body and approximant(None, 1) is None
+    assert approximant(t, 1).index == 1 and approximant(t, 1).body is t.body
+
+
 def test_approx_leq_basic():
     p = parse_process("rec[inf]X.(rec[inf]Y.Y | X)")
     for n in range(4):
