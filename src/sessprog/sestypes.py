@@ -138,7 +138,7 @@ def type_key(t: SessionType, env=None, depth=0) -> str:
     alpha-equal types."""
     out: list = []
     conts: list = []  # continuations still to serialize, innermost last
-    env = env or {}
+    env = dict(env or ())  # one scope per spine: a binder's runs to its end
     while True:
         c = type(t)
         if c is TIn or c is TOut:
@@ -147,7 +147,7 @@ def type_key(t: SessionType, env=None, depth=0) -> str:
             t, env, depth = t.payload, {}, 0
         elif c is TRec:
             out.append(f"rec[{t.index}]@{depth}.")
-            env = {**env, t.var: f"@{depth}"}
+            env[t.var] = f"@{depth}"
             t, depth = t.body, depth + 1
         else:
             if c is TypeVar:

@@ -8,13 +8,20 @@ indexed recursion, plus a base sort for integer payloads.
 
 Recursion indices are naturals or infinity; ``INF + 1 == INF`` and every
 natural is below ``INF`` (we reuse ``math.inf``).
+
+A name is a ``NamedTuple``, whose ``==`` and ``hash`` run in C; it equals a
+plain tuple with the same fields, so none is mixed with other tuples.  A
+text is tokenized by one split, and positions are computed on demand.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, compress, islice
+from typing import NamedTuple
 
 INF = math.inf
 
@@ -43,13 +50,11 @@ def co(polarity: str) -> str:
 # Names and values
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     ident: str
 
 
-@dataclass(frozen=True)
-class Endpoint:
+class Endpoint(NamedTuple):
     channel: str
     polarity: str
 
@@ -64,11 +69,7 @@ Value = object
 
 
 def name_str(n) -> str:
-    if isinstance(n, Var):
-        return n.ident
-    if isinstance(n, Endpoint):
-        return n.channel + n.polarity
-    return str(n)  # integer literal
+    return "".join(n) if isinstance(n, tuple) else str(n)  # a name's fields, or a literal
 
 
 # ---------------------------------------------------------------------------
@@ -589,85 +590,80 @@ class ParseError(Exception):
         self.expected = tuple(expected)
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<num>\d+)
-  | (?P<id>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<punct>[?!.|()\[\],:~+\-=])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+# A comment, number, identifier or symbol, or any other non-space
+# character, which is bad; what lies between two tokens is white space.
+_TOKEN_RE = re.compile(r"(#[^\n]*|\d+|[A-Za-z][A-Za-z0-9_]*|[?!.|()\[\],:~+\-=]|\S)")
 
 _KEYWORDS = frozenset({"new", "rec", "inf", "end", "int", "type"})
+_TERMINALS = _KEYWORDS | frozenset("?!.|()[],:~+-=")  # a token of its own kind
 _TYPE_OPENERS = frozenset({"end", "int", "rec", "id", "(", "?", "!"})
 
 
 def _tokenize(text: str):
-    tokens = []
-    line, start = 1, 0  # the current line and the offset where it starts
-    for m in _TOKEN_RE.finditer(text):
-        kind, lexeme = m.lastgroup, m.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {lexeme!r}", line, m.start() - start + 1)
-        if kind == "ws" and "\n" in lexeme:
-            line += lexeme.count("\n")
-            start = m.start() + lexeme.rfind("\n") + 1
-        elif kind not in ("ws", "comment"):
-            if kind == "punct" or kind == "id" and lexeme in _KEYWORDS:
-                kind = lexeme  # a symbol or keyword is its own terminal
-            tokens.append((kind, lexeme, line, m.start() - start + 1))
-    tokens.append(("eof", "", line, len(text) - start + 1))
-    return tokens
+    """The tokens of ``text`` from one split, as parallel lists of kinds,
+    lexemes and start offsets, with ``eof`` last."""
+    pieces = _TOKEN_RE.split(text)  # white space and tokens, alternating
+    lexemes = pieces[1::2]
+    kept = [lexeme[0] != "#" for lexeme in lexemes]  # comments go
+    lexemes = list(compress(lexemes, kept))
+    starts = list(compress(islice(accumulate(map(len, pieces)), 0, None, 2), kept))
+    # the kind follows the alternative that matched: \d is any decimal digit
+    kinds = [
+        lexeme if lexeme in _TERMINALS
+        else "num" if lexeme.isdecimal()
+        else "id" if lexeme.isascii() and lexeme[0].isalpha()
+        else "bad"
+        for lexeme in lexemes
+    ]
+    return kinds + ["eof"], lexemes + [""], starts + [len(text)]
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.kinds, self.lexemes, self.starts = _tokenize(text)
+        # the offset at which each line of the text starts
+        self.lines = [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
         self.i = 0
         self.aliases = {}
+        if "bad" in self.kinds:  # the first bad character, before any parsing
+            at = self.kinds.index("bad")
+            self.error(f"unexpected character {self.lexemes[at]!r}", at=at)
 
     # -- token helpers
 
-    def peek(self):
-        return self.tokens[self.i]  # ``next`` never moves past eof
-
-    def next(self):
-        tok = self.tokens[self.i]
-        if tok[0] != "eof":
-            self.i += 1
-        return tok
+    def pos(self, i) -> Pos:
+        """The line and column, both from 1, of token ``i``."""
+        line = bisect_right(self.lines, self.starts[i])
+        return line, self.starts[i] - self.lines[line - 1] + 1
 
     def accept(self, kind):
-        if self.tokens[self.i][0] == kind:
-            return self.next()
+        """The lexeme of the next token, which is consumed, if it is a
+        ``kind``; else None."""
+        i = self.i
+        if self.kinds[i] == kind:
+            self.i = i + 1
+            return self.lexemes[i]
         return None
 
     def expect(self, kind, what=None):
-        tok = self.accept(kind)
-        if tok is None:
-            got = self.peek()
+        lexeme = self.accept(kind)
+        if lexeme is None:
             want = what or kind
-            raise ParseError(
-                f"expected {want!r}, found {got[1] or 'end of input'!r}",
-                got[2], got[3], expected=(want,),
-            )
-        return tok
+            self.error(f"expected {want!r}, found {self.lexemes[self.i] or 'end of input'!r}", (want,))
+        return lexeme
 
-    def error(self, message, expected=()):
-        tok = self.peek()
-        raise ParseError(message, tok[2], tok[3], expected=expected)
+    def error(self, message, expected=(), at=None):
+        """Raise ``message`` at token ``at``, the next token by default."""
+        raise ParseError(message, *self.pos(self.i if at is None else at), expected=expected)
 
     # -- programs
 
     def parse_program(self) -> Program:
         while self.accept("type"):
-            name_tok = self._ident("alias name", True, "type alias names start uppercase")
-            name = name_tok[1]
+            at = self.i
+            name = self._ident("alias name", True, "type alias names start uppercase")
             if name in self.aliases:
-                raise ParseError(f"duplicate type alias {name!r}", name_tok[2], name_tok[3])
+                self.error(f"duplicate type alias {name!r}", at=at)
             self.expect("=")
             self.aliases[name] = self.parse_type()
         return Program(self.parse_proc(), self.aliases)
@@ -680,14 +676,16 @@ class _Parser:
         for, innermost last: a prefix its body, as ``(class, fields,
         pos)``; the left side of a ``|`` its right side, as ``(Par,
         (left,), None)``; an open ``(`` its ``)``, as ``(None, (), None)``."""
+        kinds, lexemes = self.kinds, self.lexemes
         stack: list = []
         while True:
-            tok = self.tokens[self.i]
-            if tok[0] == "num" and tok[1] == "0" or tok[0] == "id" and tok[1][0].isupper():
-                self.next()
-                p = Idle(pos=_pos(tok)) if tok[0] == "num" else ProcVar(tok[1], pos=_pos(tok))
+            i = self.i
+            kind = kinds[i]
+            if kind == "num" and lexemes[i] == "0" or kind == "id" and lexemes[i][0].isupper():
+                self.i = i + 1
+                p = Idle(pos=self.pos(i)) if kind == "num" else ProcVar(lexemes[i], pos=self.pos(i))
             else:
-                stack.append((*self._opening(tok), _pos(tok)))
+                stack.append((*self._opening(kind), self.pos(i)))
                 continue
             while True:  # p is complete: hand it to what waits for it
                 if stack and stack[-1][0] not in (Par, None):
@@ -697,7 +695,7 @@ class _Parser:
                     stack.append((Par, (p,), None))
                     break
                 else:  # p ends a process: close the '|'s it ends, then its '('
-                    pos = _pos(self.tokens[self.i])
+                    pos = self.pos(self.i)
                     while stack and stack[-1][0] is Par:
                         p = Par(stack.pop()[1][0], p, pos=pos)
                     if not stack:
@@ -705,14 +703,15 @@ class _Parser:
                     stack.pop()
                     self.expect(")")
 
-    def _opening(self, tok) -> tuple:
-        """Read the head of a prefix, up to and with its '.', as the class
-        and fields of the node it builds; or an open ``(``, as None."""
-        if tok[0] == "(":
-            self.next()
+    def _opening(self, kind) -> tuple:
+        """Read the head of a prefix that starts with a token of ``kind``,
+        up to and with its '.', as the class and fields of the node it
+        builds; or an open ``(``, as None."""
+        if kind in ("(", "new", "rec"):
+            self.i += 1
+        if kind == "(":
             return None, ()
-        if tok[0] == "new":
-            self.next()
+        if kind == "new":
             chan = self._lower_id("channel")
             pos_type = neg_type = None
             if self.accept(":"):
@@ -720,12 +719,11 @@ class _Parser:
                 if self.accept("~"):
                     neg_type = self.parse_type()
             head = New, (chan, pos_type, neg_type)
-        elif tok[0] == "rec":
-            self.next()
+        elif kind == "rec":
             idx = self._index()
             var = self._ident("process variable", True, "process variable identifiers start uppercase")
-            head = Rec, (idx, var[1])
-        elif tok[0] == "id":
+            head = Rec, (idx, var)
+        elif kind == "id":
             subject = self._name()
             if self.accept("?"):
                 self.expect("(")
@@ -735,38 +733,42 @@ class _Parser:
             elif self.accept("!"):
                 head = Output, (subject, self._value())
             else:
-                self.error("expected '?' or '!' after subject", expected=("?", "!"))
-        elif tok[0] == "num":
-            self.error("only '0' denotes the idle process", expected=("0",))
+                self.error("expected '?' or '!' after subject", ("?", "!"))
+        elif kind == "num":
+            self.error("only '0' denotes the idle process", ("0",))
         else:
-            self.error("expected a process", expected=("process",))
+            self.error("expected a process", ("process",))
         self.expect(".")
         return head
 
     def _ident(self, what, upper, message):
-        """Read an identifier token: ``what`` names it when none comes, and
+        """Read an identifier: ``what`` names it when none comes, and
         ``message`` is the error when its first letter is not uppercase
         (``upper``) or not lowercase (not ``upper``)."""
-        tok = self.expect("id", what=what)
-        if tok[1][0].isupper() != upper:
-            raise ParseError(message, tok[2], tok[3])
-        return tok
+        at = self.i
+        lexeme = self.expect("id", what=what)
+        if lexeme[0].isupper() != upper:
+            self.error(message, at=at)
+        return lexeme
 
     def _lower_id(self, what):
-        return self._ident(what, False, f"{what} identifiers start lowercase")[1]
+        return self._ident(what, False, f"{what} identifiers start lowercase")
 
     def _name(self):
-        tok = self._ident("name", False, "names are lowercase identifiers")
-        sign = self.accept("+") or self.accept("-")
-        return Endpoint(tok[1], sign[0]) if sign else Var(tok[1])
+        ident = self._ident("name", False, "names are lowercase identifiers")
+        sign = self.kinds[self.i]
+        if sign == "+" or sign == "-":
+            self.i += 1
+            return Endpoint(ident, sign)
+        return Var(ident)
 
     def _value(self):
-        tok = self.accept("num")
-        return int(tok[1]) if tok else self._name()
+        lexeme = self.accept("num")
+        return int(lexeme) if lexeme else self._name()
 
     def _index(self):
         self.expect("[")
-        idx = INF if self.accept("inf") else int(self.expect("num", what="index")[1])
+        idx = INF if self.accept("inf") else int(self.expect("num", what="index"))
         self.expect("]")
         return idx
 
@@ -779,37 +781,39 @@ class _Parser:
         open ``(`` its ``)``."""
         stack: list = []  # (class, *fields so far); (None,) for a '('
         while True:
-            tok = self.tokens[self.i]
-            if tok[0] not in _TYPE_OPENERS:
-                self.error("expected a type", expected=("type",))
-            self.next()
-            if tok[0] == "(":
+            i = self.i
+            kind = self.kinds[i]
+            if kind not in _TYPE_OPENERS:
+                self.error("expected a type", ("type",))
+            self.i = i + 1
+            if kind == "(":
                 stack.append((None,))
                 continue
-            if tok[0] == "?" or tok[0] == "!":
+            if kind == "?" or kind == "!":
                 self.expect("[")
                 obl = self._priority()
                 self.expect(",")
                 cap = self._priority()
                 self.expect("]")
-                stack.append((TIn if tok[0] == "?" else TOut, obl, cap))
+                stack.append((TIn if kind == "?" else TOut, obl, cap))
                 continue
-            if tok[0] == "rec":
+            if kind == "rec":
                 idx = self._index()
                 var = self._lower_id("type variable")
                 self.expect(".")
                 stack.append((TRec, idx, var))
                 continue
-            if tok[0] == "end":
+            lexeme = self.lexemes[i]
+            if kind == "end":
                 t = End()
-            elif tok[0] == "int":
+            elif kind == "int":
                 t = Base()
-            elif tok[0] == "id" and tok[1][0].isupper():
-                if tok[1] not in self.aliases:
-                    raise ParseError(f"unknown type alias {tok[1]!r}", tok[2], tok[3])
-                t = self.aliases[tok[1]]
+            elif lexeme[0].isupper():
+                if lexeme not in self.aliases:
+                    self.error(f"unknown type alias {lexeme!r}", at=i)
+                t = self.aliases[lexeme]
             else:
-                t = TypeVar(tok[1])
+                t = TypeVar(lexeme)
             while stack:  # t is complete: hand it to what waits for it
                 cls, *fields = stack.pop()
                 if cls is None:
@@ -824,12 +828,8 @@ class _Parser:
                 return t
 
     def _priority(self):
-        tok = self.accept("num")
-        return int(tok[1]) if tok else self._lower_id("priority variable")
-
-
-def _pos(tok):
-    return (tok[2], tok[3])
+        lexeme = self.accept("num")
+        return int(lexeme) if lexeme else self._lower_id("priority variable")
 
 
 def _parse(text: str, rule):

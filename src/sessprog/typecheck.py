@@ -228,7 +228,7 @@ def split_env(delta: dict, left_free, right_free, gamma: dict):
     sides breaks linearity, a name used by neither goes left and must be
     discardable there."""
     lnames, rnames = (
-        free.union(*(gamma[x] for x in free if x in gamma)) for free in (left_free, right_free)
+        free.union(*(gamma[x] for x in gamma if x in free)) for free in (left_free, right_free)
     )
     dl, dr = {}, {}
     for u, t in delta.items():

@@ -214,6 +214,20 @@ def test_well_formed_walks_a_chain_of_recursions_once():
     assert not ok and violation.reason == "type is not contractive" and violation.subterm is closed
 
 
+# Recursions nested 20,000 deep: ``type_key`` extends one scope per spine,
+# so its time is linear in the nesting.  With a copy of the scope at
+# every binder it took 2.9-3.1 s, well past WALK_S.
+RECS = 20_000
+
+
+def test_type_key_of_nested_recursions():
+    t = TypeVar("t0")
+    for i in reversed(range(RECS)):
+        t = TRec(INF, f"t{i}", t)
+    key = "".join(f"rec[inf]@{i}." for i in range(RECS)) + "@0"
+    assert within(WALK_S, type_key, t) == key
+
+
 # Payloads nested 8,000 deep: what is free in every payload comes from one
 # fold over the whole type, so the stratification check is linear in the
 # nesting, not quadratic.

@@ -551,9 +551,12 @@ def test_type_substitution_matches_the_recursive_one(monkeypatch):
 
 def _tree(x):
     """A node as nested tuples of its class and every field, ``pos``
-    included (it is left out of ``==``)."""
+    included (it is left out of ``==``); a name as its class and fields
+    (it equals a plain tuple with the same fields)."""
     if is_dataclass(x):
         return (type(x).__name__, *(_tree(getattr(x, f.name)) for f in fields(x)))
+    if type(x) in (Var, Endpoint):
+        return (type(x).__name__, *x)
     return x
 
 
@@ -595,11 +598,29 @@ def _mutants(rng, text):
         yield text[:i] + rng.choice("?!.|()[],:~+-=0 1aXtypeinfrecnewend") + text[i:]
 
 
+# Texts whose characters the tokenizer might class or place otherwise
+# than the reference: non-ASCII digits (decimal, so numbers) and letters
+# (bad), a no-break space, a tab, CR LF, a form feed, comments at the end,
+# around a bad character and alone, and no text at all.
+ODD_TEXTS = [
+    "a+!\u0663.0 | rec[\u0662] X.X",
+    "new \u00e9.0",
+    "new a.(a+!0.0\u00a0|\u00a0a-?(x).0)",
+    "new a.\t(a+!0.0\t|\ta-?(x).0)",
+    "new a.\r\n(a+!0.0\r\n| a-?(x).0)\r\n",
+    "0 |\f0 |\f\n\fX",
+    "new a.(a+!0.0 | a-?(x).0) # no newline after this comment",
+    "# a bad \u00a7 in a comment\nnew a.0 # and @ here\n",
+    "",
+    "# only a comment",
+]
+
+
 def test_parser_matches_the_recursive_parser(monkeypatch):
     """The parser on explicit stacks, through the public parse functions,
     against its recursive reference with its own tokenizer on
-    ``corpus/``, printed seeded programs and types, alias programs, and
-    seeded truncations and edits of all of them."""
+    ``corpus/``, printed seeded programs and types, alias programs, odd
+    texts, and seeded truncations and edits of all of them."""
     monkeypatch.setattr(gen, "_uid", itertools.count())
     rng = random.Random(29)
     texts = [(f.read_text(), "program") for f in sorted(CORPUS.glob("*.ssp"))]
@@ -609,6 +630,7 @@ def test_parser_matches_the_recursive_parser(monkeypatch):
     types = [pretty_type(gen_type(rng, rng.randint(1, 6))) for _ in range(150)]
     texts += [(t, "type") for t in types]
     texts += [(f"type A = {t}\ntype B = ( A )\nnew a : B ~ A . 0", "program") for t in types[:50]]
+    texts += [(text, "program") for text in ODD_TEXTS] + [("?[\u0661,\u0662] int . end", "type")]
     texts += [(m, kind) for text, kind in texts for m in _mutants(rng, text)]
     outcomes = []
     for text, kind in texts:

@@ -16,6 +16,7 @@ from sessprog.syntax import (
     ParseError,
     Par,
     Rec,
+    TypeVar,
     Var,
     co,
     fold,
@@ -36,6 +37,17 @@ from sessprog.syntax import (
 def test_polarity_involution():
     assert co("+") == "-" and co("-") == "+"
     assert Endpoint("a", "+").peer == Endpoint("a", "-")
+
+
+def test_names_are_tuples_that_keep_their_repr_and_hash():
+    assert repr(Var("a")) == "Var(ident='a')"
+    assert repr(Endpoint("a", "+")) == "Endpoint(channel='a', polarity='+')"
+    assert Var("a") != Endpoint("a", "+") and Endpoint("a", "+") != Var("a")
+    assert Var("a") != TypeVar("a") and TypeVar("a") != Var("a")
+    assert Endpoint("a", "-").peer == Endpoint("a", "+") and type(Endpoint("a", "-").peer) is Endpoint
+    # a name hashes as the tuple of its fields, as the dataclass it was
+    # did, so the iteration orders of sets and dicts of names stay put
+    assert hash(Endpoint("a", "+")) == hash(("a", "+")) and hash(Var("a")) == hash(("a",))
 
 
 def test_parse_basic_process():
