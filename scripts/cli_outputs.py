@@ -7,7 +7,7 @@ Usage: cli_outputs.py [ROOT]
 ROOT is a checkout (default: the one holding this script); its
 ``src/`` is the only ``sessprog`` seen.  The invocations are every
 subcommand that reads a FILE on every ``corpus/*.ssp`` and on a few
-malformed, open or finite inputs, a missing file among them, each with
+malformed, open, finite or oversized inputs, a missing file among them, each with
 and without ``--json``; ``dual`` on fixed type pairs, with and without
 ``--json``; and a few usage errors.  They run in one child interpreter
 with ``PYTHONPATH=ROOT/src``, one after the other through
@@ -35,6 +35,8 @@ EXTRA_INPUTS = {
     "trailing.ssp": "0 0",
     "open.ssp": "a+!1.0 | b-?(x).0",
     "finite.ssp": "rec[2]X.new a.(a+!1.X | a-?(x).0)",
+    "longnum.ssp": f"new a : ![0,1] int . end . (a+!{'9' * 5000}.0 | a-?(x).0)",  # too long to print
+    "bigmeasure.ssp": "new a.a+?(x).rec[15000] X.(X | X)",  # E has 4,516 digits
 }
 
 DUAL_PAIRS = [
@@ -46,6 +48,7 @@ DUAL_PAIRS = [
     ("rec[1] t. t", "rec[1] t. t"),
     ("![0,1 int . end", "end"),
     ("![0,1] int . end end", "?[1,0] int . end"),
+    (f"![{'9' * 5000},1] int . end", f"?[1,{'9' * 5000}] int . end"),
 ]
 
 FILE_COMMANDS = [  # each subcommand that reads a FILE, with its arguments after FILE

@@ -2,12 +2,14 @@
 
 Subcommands: check, run, explore, progress, oracle, measure, approx,
 dual.  Exit codes: 0 accept/verified/holds, 1 reject/violated, 2 parse
-or usage error (an unreadable FILE, an ill-formed type, an open program,
-a finite index where a user process is needed or an infinite one where
-``measure`` needs a finite one included), 3 internal limit hit (state
-bound or pair budget), 4 internal fault (any other exception, with its
-traceback on stderr), so that a crash never reads as a reject.  A
-``RecursionError`` exits 3, as a safety net: no walk of the library
+or usage error (an unreadable FILE, a number literal as long as
+Python's int-to-text limit, 4,300 digits by default, an ill-formed
+type, an open program, a finite index where a user process is needed or
+an infinite one where ``measure`` needs a finite one included), 3
+internal limit hit (state bound, pair budget, or an E or a V of
+``measure`` past that limit), 4 internal fault (any other exception,
+with its traceback on stderr), so that a crash never reads as a reject.
+A ``RecursionError`` exits 3, as a safety net: no walk of the library
 recurses, but dataclass ``==``, ``hash`` and ``repr`` on deep nodes
 still do.
 """
@@ -21,7 +23,7 @@ import random
 import sys
 import traceback
 
-from .measure import InfiniteIndex, measures
+from .measure import InfiniteIndex, TooLarge, measures
 from .progress import oracle_dynamic, verify_static
 from .semantics import (
     NotUserProcess,
@@ -251,7 +253,7 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, NotClosed, NotUserProcess, InfiniteIndex) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (Truncated, DepthExceeded) as e:
+    except (Truncated, DepthExceeded, TooLarge) as e:
         print(f"limit: {e}", file=sys.stderr)
         return EXIT_LIMIT
     except RecursionError:

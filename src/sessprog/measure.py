@@ -9,14 +9,22 @@ communication, so every finite-index process terminates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .semantics import CanonState, RedexLabel, Truncated, canonicalize, reachable
-from .syntax import INF, Input, Output, Par, Process, ProcVar, Rec, fold, subterms
+from .syntax import INF, Input, Output, Par, Process, ProcVar, Rec, fold, max_digits, subterms
 
 
 class InfiniteIndex(Exception):
     """The measure is only defined for finite recursion indices."""
+
+
+class TooLarge(Exception):
+    """E or a V would have more digits than an int may have as text."""
+
+    def __str__(self):
+        return f"E or a V has more than {max_digits()} digits"
 
 
 def _geom_sum(v: int, n: int) -> int:
@@ -30,8 +38,10 @@ def measures(p: Process) -> tuple[int, dict, dict]:
     in its body, in one bottom-up fold.  Prefixes count 1 and parallel
     composition adds; a recursion of index n pays for n unfoldings of a
     body that may itself multiply, so it scales the E and the V of its
-    body by the geometric sum of its own V."""
+    body by the geometric sum of its own V.  TooLarge, told from sizes
+    before a power is built, where a value would be too long to print."""
     own: dict = {}
+    bits = max_digits() * math.log2(10)  # a value of at most this many bits prints
 
     def at(q, body=(0, None), right=None):  # (E, V or None: no variables)
         t = type(q)
@@ -47,12 +57,20 @@ def measures(p: Process) -> tuple[int, dict, dict]:
                 q = next(r for r in subterms(p) if isinstance(r, Rec) and r.index == INF)
                 raise InfiniteIndex(f"measure undefined, infinite index at rec[inf] {q.var}")
             e, v = body[0], body[1] or {}
-            own[id(q)] = v.get(q.var, 0)
-            g = _geom_sum(own[id(q)], q.index)
-            return (1 + e) * g, {x: n * g for x, n in v.items() if x != q.var}
+            own[id(q)] = w = v.get(q.var, 0)
+            # w is printed, and the geometric sum holds w ** (index - 1)
+            if w.bit_length() > bits or (q.index - 1) * (w.bit_length() - 1) > bits:
+                raise TooLarge
+            g = _geom_sum(w, q.index)
+            e = (1 + e) * g
+            if e.bit_length() > bits:  # this bounds every V too: V <= (E + 1) * occurrences
+                raise TooLarge
+            return e, {x: n * g for x, n in v.items() if x != q.var}
         return body  # idle, new
 
     e, v = fold(at, p)
+    if e.bit_length() > bits:
+        raise TooLarge
     return e, v or {}, own
 
 

@@ -83,13 +83,13 @@ def well_formed(t: SessionType) -> tuple[bool, Violation | None]:
 
 
 def unfold(t: SessionType) -> SessionType:
-    """One unfolding of a recursive type; the index is decremented (INF
-    stays INF).  Raises CannotUnfold on rec[0] and non-recursive types."""
+    """One unfolding of a recursive type, index decremented; a ``rec[inf]``
+    goes in as itself.  Raises CannotUnfold on rec[0] and non-recursives."""
     if not isinstance(t, TRec):
         raise CannotUnfold(f"not a recursive type: {pretty_type(t)}")
     if t.index == 0:
         raise CannotUnfold("index is zero")
-    return subst_type_var(t.body, t.var, TRec(t.index - 1, t.var, t.body))
+    return subst_type_var(t.body, t.var, t if t.index == INF else TRec(t.index - 1, t.var, t.body))
 
 
 def obligation(sigma: dict, t: SessionType):
@@ -133,12 +133,12 @@ def syntactic_dual(t: SessionType) -> SessionType:
     return t
 
 
-def type_key(t: SessionType, env=None, depth=0) -> str:
+def type_key(t: SessionType) -> str:
     """Serialization with rec binders de-Bruijn-leveled; equal keys mean
     alpha-equal types."""
     out: list = []
     conts: list = []  # continuations still to serialize, innermost last
-    env = dict(env or ())  # one scope per spine: a binder's runs to its end
+    env, depth = {}, 0  # one scope per spine: a binder's runs to its end
     while True:
         c = type(t)
         if c is TIn or c is TOut:
@@ -214,21 +214,23 @@ DUAL_PAIR_BUDGET = 10_000
 
 
 def _pair_key(pair) -> tuple:
-    u, v, depth, uenv, venv = pair
-    return (type_key(u, uenv, depth), type_key(v, venv, depth))
+    u, v, _depth, uenv, venv = pair
+    return id(u), id(v), tuple(uenv.items()), tuple(venv.items())
 
 
-def _premises(pair):
+def _premises(pair, unfolded: dict):
     """Lazily, the premise of ``pair`` under the structural rule, then
-    under unfolding the left side, then the right side."""
+    under unfolding the left side, then the right side.  Each ``rec`` is
+    unfolded once, into ``unfolded`` by its ``id``."""
     premise = dual_rule(*pair)
     if premise is not None:
         yield premise
-    u, v, depth, uenv, venv = pair
-    if isinstance(u, TRec) and u.index > 0:
-        yield unfold(u), v, depth, uenv, venv
-    if isinstance(v, TRec) and v.index > 0:
-        yield u, unfold(v), depth, uenv, venv
+    for side in (0, 1):
+        w = pair[side]
+        if isinstance(w, TRec) and w.index > 0:
+            if id(w) not in unfolded:
+                unfolded[id(w)] = unfold(w)
+            yield pair[:side] + (unfolded[id(w)],) + pair[side + 1:]
 
 
 def dual_full(t: SessionType, s: SessionType) -> bool:
@@ -236,27 +238,30 @@ def dual_full(t: SessionType, s: SessionType) -> bool:
     depth-first search looks for a path of pairs that ends in one holding
     outright or returns to a pair on the current path (coinduction).  A
     pair whose premises all failed is never entered again; DepthExceeded
-    past DUAL_PAIR_BUDGET distinct pairs."""
+    past DUAL_PAIR_BUDGET distinct pairs.  A pair is keyed by the identity
+    of its two types and its scopes: ``unfold`` of a ``rec[inf]`` puts
+    back that ``rec`` itself, so a cycle meets the same objects again, and
+    the unfoldings, made once each, keep every keyed object alive."""
     root = (t, s, 0, {}, {})
-    stack = [(_pair_key(root), _premises(root))]
-    on_path, failed = {stack[0][0]}, set()
+    unfolded: dict = {}
+    stack = [(_pair_key(root), _premises(root, unfolded))]
+    seen = {stack[0][0]: True}  # key -> True while on the current path, False once failed
     while stack:
         key, premises = stack[-1]
         premise = next(premises, None)
         if premise is None:
             stack.pop()
-            on_path.remove(key)
-            failed.add(key)
+            seen[key] = False
             continue
         if premise is True:
             return True
         key = _pair_key(premise)
-        if key in on_path:
+        if seen.get(key):
             return True
-        if key in failed:
+        if key in seen:
             continue
-        if len(on_path) + len(failed) >= DUAL_PAIR_BUDGET:
+        if len(seen) >= DUAL_PAIR_BUDGET:
             raise DepthExceeded(f"more than {DUAL_PAIR_BUDGET} type pairs examined")
-        on_path.add(key)
-        stack.append((key, _premises(premise)))
+        seen[key] = True
+        stack.append((key, _premises(premise, unfolded)))
     return False

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, compress, islice
@@ -30,6 +31,12 @@ INF = math.inf
 # a priority annotation, it only arises from obligation computation).
 Index = float  # int | INF in practice
 Priority = object  # int | str | INF
+
+
+def max_digits() -> int:
+    """How many digits an int may have as text: the interpreter's limit
+    (``sys.get_int_max_str_digits``), or its default, 4,300, where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def pri_str(p) -> str:
@@ -764,11 +771,19 @@ class _Parser:
 
     def _value(self):
         lexeme = self.accept("num")
-        return int(lexeme) if lexeme else self._name()
+        return self._int(lexeme) if lexeme else self._name()
+
+    def _int(self, lexeme):
+        """The ``num`` just read, ``lexeme``, as an int.  One of
+        ``max_digits()`` digits or more is refused: a priority solved from
+        a literal gains at most one digit, and must still print."""
+        if len(lexeme) >= max_digits():
+            self.error(f"number too long: {len(lexeme)} digits, at most {max_digits() - 1}", at=self.i - 1)
+        return int(lexeme)
 
     def _index(self):
         self.expect("[")
-        idx = INF if self.accept("inf") else int(self.expect("num", what="index"))
+        idx = INF if self.accept("inf") else self._int(self.expect("num", what="index"))
         self.expect("]")
         return idx
 
@@ -829,7 +844,7 @@ class _Parser:
 
     def _priority(self):
         lexeme = self.accept("num")
-        return int(lexeme) if lexeme else self._lower_id("priority variable")
+        return self._int(lexeme) if lexeme else self._lower_id("priority variable")
 
 
 def _parse(text: str, rule):

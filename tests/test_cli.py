@@ -1,13 +1,16 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 from sessprog import semantics, sestypes, typecheck
 from sessprog.cli import main
+from sessprog.syntax import max_digits
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -141,6 +144,64 @@ def test_parse_error_exit(tmp_path, capsys):
     bad.write_text("new . 0")
     code, _, err = run(capsys, "check", bad)
     assert code == 2 and "parse error" in err
+
+
+TWO_CELLS = "new a : ![0,{}] int . end . new b : ![p,q] int . end . (a+!1.b+!2.0 | a-?(x).0 | b-?(y).0)"
+
+
+@pytest.mark.parametrize(
+    "argv, at, digits",
+    [
+        (["check", "new a : ![0,1] int . end . (a+!{}.0 | a-?(x).0)"], "1:32", 5000),  # a payload
+        (["check", "rec[{}] X.X"], "1:5", 5000),  # an index
+        (["check", TWO_CELLS], "1:13", max_digits()),  # its priority p would have one digit more
+        (["dual", "![{},1] int . end", "?[1,0] int . end"], "1:3", 5000),  # a priority
+    ],
+)
+def test_a_number_too_long_to_print_is_a_parse_error(argv, at, digits, tmp_path, capsys):
+    # Python refuses to turn an int of more than max_digits() digits into text
+    command, text, *more = argv
+    text = text.format("9" * digits)
+    if command != "dual":
+        (tmp_path / "long.ssp").write_text(text)
+        text = tmp_path / "long.ssp"
+    code, out, err = run(capsys, command, text, *more)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {at}: number too long: {digits} digits, at most {max_digits() - 1}\n"
+
+
+def test_numbers_just_below_the_limit_still_print(tmp_path, capsys):
+    n = "9" * (max_digits() - 1)
+    (tmp_path / "cells.ssp").write_text(TWO_CELLS.format(n))
+    code, out, err = run(capsys, "check", tmp_path / "cells.ssp")
+    assert (code, err) == (0, "") and out == f"accept\nassignment: p={int(n) + 1}\n"
+    (tmp_path / "rec.ssp").write_text(f"rec[{n}] X.X")
+    assert run(capsys, "measure", tmp_path / "rec.ssp") == (0, f"E = {n}\nV_X(body) = 1\n", "")
+    (tmp_path / "rec.ssp").write_text("rec[5000] X.(X | X)")  # E has 1,506 digits
+    assert run(capsys, "measure", tmp_path / "rec.ssp") == (0, f"E = {2 ** 5000 - 1}\nV_X(body) = 2\n", "")
+
+
+NESTED = "".join(f"rec[8000] X{i}.(X{i} | X{i} | " for i in range(3000)) + "0" + ")" * 3000
+BITS = int(max_digits() * math.log2(10))  # the most bits of a value that prints
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "new a.a+?(x).rec[15000] X.(X | X)",  # E has 4,516 digits
+        "rec[100000000] X.(X | X | X)",  # refused before 3 ** 100000000 is built
+        f"rec[1] X.rec[{BITS - 1}] Y.(X | X | X | X | Y | Y)",  # E prints, but not the V of X
+        f"rec[{BITS}] X.(X | X) | rec[{BITS}] Y.(Y | Y)",  # each E prints, but not their sum
+        NESTED,  # refused at the second rec, not after 3,000 products
+    ],
+    ids=["E", "power", "V", "sum", "nested"],
+)
+def test_a_measure_too_long_to_print_is_a_limit(text, tmp_path, capsys):
+    (tmp_path / "big.ssp").write_text(text)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "measure", tmp_path / "big.ssp")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out, err) == (3, "", f"limit: E or a V has more than {max_digits()} digits\n")
 
 
 def test_missing_file_exit(capsys):

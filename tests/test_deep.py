@@ -13,7 +13,8 @@ walk, 0.25 s for ``freshen`` and 0.95 s for ten explored states; on the
 command line, with the parse, 2.9 s to check and 3.7 s to verify the
 10,000 cells, 0.13–0.22 s to measure, approximate or check the chain,
 1.6 s to explore ten of its states, 0.15 s to measure the nested
-recursions and 3.0 s to decide the dual pair.  A ``|`` chain of 4,000
+recursions, and 0.04 s and 0.18 s to decide the dual pairs of 2,000 and
+9,000 prefixes.  A ``|`` chain of 4,000
 idle cells takes 0.035 s to check, 0.05 s on the command line.  A type
 whose payloads nest 8,000 deep takes 0.02–0.04 s to check for
 well-formedness, against a bound of 0.1 s."""
@@ -333,4 +334,13 @@ def test_cli_decides_a_2000_prefix_dual_pair(capsys):
     n = 2000
     pair = ["".join(f"{'!?'[(i + d) % 2]}[{i + d},{i + 1 - d}] int . " for i in range(n)) + "end" for d in (0, 1)]
     code, out, _ = cli(capsys, 30, "dual", *pair)
+    assert code == 0 and out == "dual_strict: True\ndual_full: True\n"
+
+
+def test_cli_decides_a_9000_prefix_dual_pair(capsys):
+    # a pair is keyed by its two nodes, so the search is linear; 9,000
+    # prefixes stay under DUAL_PAIR_BUDGET, and 10,000 do not
+    n = 9000
+    pair = ["".join(f"{'!?'[(i + d) % 2]}[{i + d},{i + 1 - d}] int . " for i in range(n)) + "end" for d in (0, 1)]
+    code, out, _ = cli(capsys, 1.8, "dual", *pair)
     assert code == 0 and out == "dual_strict: True\ndual_full: True\n"

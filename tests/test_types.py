@@ -139,24 +139,37 @@ def test_counterexample_family_is_decided_at_every_index_up_to_200():
 def test_dual_full_enters_each_pair_once_and_unfolds_on_demand(monkeypatch):
     entered, unfolded = [], []
     premises, unfold_ = sestypes._premises, sestypes.unfold
-    monkeypatch.setattr(sestypes, "_premises", lambda pair: entered.append(pair) or premises(pair))
+    monkeypatch.setattr(sestypes, "_premises", lambda pair, memo: entered.append(pair) or premises(pair, memo))
     monkeypatch.setattr(sestypes, "unfold", lambda t: unfolded.append(t) or unfold_(t))
+    cycle = T("rec[inf]x. " + "![a,b] int . " * 30 + "x"), T("rec[inf]y. " + "?[b,a] int . " * 31 + "y")
     t = T("![al,be] int . rec[12]t. ![al,be] int . t")
-    assert not dual_full(t, T("rec[12]t. ?[be,al] int . t"))
-    keys = [sestypes._pair_key(pair) for pair in entered]
-    assert len(keys) == len(set(keys)) > 12
+    for (t, s), dual, unfoldings in ((cycle, True, 2), ((t, T("rec[12]t. ?[be,al] int . t")), False, 24)):
+        entered.clear(), unfolded.clear()
+        assert dual_full(t, s) == dual
+        keys = [sestypes._pair_key(pair) for pair in entered]  # ``entered`` keeps the keyed types alive
+        assert len(keys) == len(set(keys)) > 12
+        assert len(unfolded) == len(set(map(id, unfolded))) == unfoldings  # no rec unfolded twice
     entered.clear(), unfolded.clear()
     t = T("rec[inf]t. ?[al,be] int . rec[2]s. ![ga,de] end . s")
     assert dual_full(t, syntactic_dual(t))
     assert unfolded == [] and len(entered) == 5  # one structural premise per constructor
 
 
+def test_dual_full_keys_a_pair_by_its_scopes_too():
+    # the same two nodes met under other scopes are another pair: keyed by
+    # the nodes alone, a failure under the first scopes would be taken for
+    # one under the second
+    t = T("rec[2] x. rec[2] y. rec[2] z. rec[1] x. ![0,1] int . y")
+    assert dual_full(t, T("rec[2] y. rec[2] z. rec[1] x. ?[1,0] int . y"))
+
+
 def test_dual_full_pair_budget_still_fires(monkeypatch):
     t = T("rec[inf]x. " + "![a,b] int . " * 30 + "x")
     s = T("rec[inf]y. " + "?[b,a] int . " * 31 + "y")
-    assert dual_full(t, s)  # 930 distinct pairs
-    monkeypatch.setattr(sestypes, "DUAL_PAIR_BUDGET", 100)
-    with pytest.raises(DepthExceeded, match="more than 100 type pairs"):
+    monkeypatch.setattr(sestypes, "DUAL_PAIR_BUDGET", 1022)  # the distinct pairs this pair needs
+    assert dual_full(t, s)
+    monkeypatch.setattr(sestypes, "DUAL_PAIR_BUDGET", 1021)
+    with pytest.raises(DepthExceeded, match="more than 1021 type pairs"):
         dual_full(t, s)
 
 
